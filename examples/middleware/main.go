@@ -100,7 +100,7 @@ func run() error {
 	}
 	defer pub.Close()
 
-	// Let Algorithm 1's adverts converge before publishing.
+	// Let the link-state gossip converge before publishing.
 	time.Sleep(500 * time.Millisecond)
 
 	received := 0

@@ -138,9 +138,7 @@ func benchWaitRoute(b *testing.B, bk *Broker, topic, sub int32) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		bk.mu.Lock()
-		ok := len(bk.sendingListLocked(topic, sub)) > 0
-		bk.mu.Unlock()
+		ok := len(ctrlList(bk, topic, sub)) > 0
 		if ok {
 			return
 		}

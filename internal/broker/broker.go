@@ -5,10 +5,10 @@
 //   - maintains persistent connections to its configured overlay neighbors,
 //   - measures per-link alpha by pinging and tracks a gamma estimate from
 //     hop-by-hop ACK outcomes,
-//   - runs Algorithm 1 as a real distributed protocol: <d, r> parameter
-//     advertisements flow between neighbors whenever estimates change, and
-//     every broker keeps a Theorem-1-ordered sending list per
-//     (topic, subscriber-broker) pair,
+//   - runs Algorithm 1 over gossiped link state: every broker floods its
+//     measured link estimates and its subscription membership, and each
+//     builds the Theorem-1-ordered sending list per (topic,
+//     subscriber-broker) pair from that shared view (controlplane.go),
 //   - forwards published messages with Algorithm 2: hop-by-hop ACKs,
 //     m transmissions per neighbor, failover to the next sending-list entry
 //     and rerouting to the upstream broker recorded in the packet's path,
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo1"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -53,8 +52,9 @@ type Config struct {
 	AckGuard time.Duration
 	// PingInterval is how often links are probed for alpha.
 	PingInterval time.Duration
-	// AdvertInterval is how often parameters are re-advertised even
-	// without changes (repairs lost adverts).
+	// AdvertInterval is how often the broker re-floods its link-state
+	// records even when nothing changed, repairing floods lost to link
+	// churn (default 1s).
 	AdvertInterval time.Duration
 	// DialRetry is the base back-off between reconnect attempts to a
 	// neighbor; consecutive failures back off exponentially (with jitter)
@@ -81,12 +81,6 @@ type Config struct {
 	// feeding each writer pipeline; a full queue drops messages after a
 	// brief backpressure wait instead of blocking the sender.
 	SendQueue int
-	// DisableRelayBatch turns off relay-plane link aggregation: the broker
-	// neither advertises wire.CapRelayBatch in its Hello nor emits
-	// AckBatch/DataBatch frames, and every received DATA is answered with an
-	// immediate legacy Ack. Aggregation is on by default and negotiated per
-	// link, so mixed overlays with legacy brokers need no configuration.
-	DisableRelayBatch bool
 	// AckBatchSize flushes a neighbor's coalesced hop-by-hop ACKs once this
 	// many are pending, even if the flush timer has not fired (default 64).
 	AckBatchSize int
@@ -95,16 +89,11 @@ type Config struct {
 	// ACK timeout (2*alpha + AckGuard), or delayed ACKs would read as link
 	// loss; the default sits 20x under the default AckGuard alone.
 	AckFlushInterval time.Duration
-	// DisableLinkState turns off the gossiped link-state control plane: the
-	// broker neither advertises wire.CapLinkState in its Hello nor emits
-	// LinkState/Probe frames, and routing falls back to the advert-only
-	// <d, r> plane. Like relay batching it is on by default and negotiated
-	// per link, so mixed overlays with legacy brokers need no configuration.
-	DisableLinkState bool
-	// LinkStateInterval paces the control loop: local estimates are
-	// re-flooded, idle links probed and route tables incrementally rebuilt
-	// at this cadence (default 100ms). This is the live monitoring window —
-	// a link death re-sorts sending lists within roughly one interval.
+	// LinkStateInterval paces the control loop: changed local estimates
+	// are re-flooded, idle links probed and route tables incrementally
+	// rebuilt at this cadence (default 100ms). This is the live monitoring
+	// window — a link death re-sorts sending lists within roughly one
+	// interval.
 	LinkStateInterval time.Duration
 	// DefaultDeadline applies to publishes that do not carry a deadline.
 	DefaultDeadline time.Duration
@@ -215,21 +204,19 @@ type Broker struct {
 	// connections (the broker ID occupies the bits above the counter).
 	nextPacketID atomic.Uint64
 
-	// routesSnap/subsSnap are the copy-on-write control-plane snapshots the
-	// data plane reads lock-free: rebuilt under b.mu whenever routes or
-	// local subscriptions change, swapped in atomically.
-	routesSnap atomic.Pointer[routeSnapshot]
-	subsSnap   atomic.Pointer[subsSnapshot]
+	// subsSnap is the copy-on-write local-subscription snapshot the data
+	// plane reads lock-free: rebuilt under b.mu whenever local
+	// subscriptions change, swapped in atomically.
+	subsSnap atomic.Pointer[subsSnapshot]
 
-	// ctrl is the gossiped link-state control plane (controlplane.go); nil
-	// with Config.DisableLinkState. ctrlSnap is its copy-on-write sending
-	// lists, consulted by the data plane before the advert-plane snapshot.
+	// ctrl is the gossiped link-state control plane (controlplane.go);
+	// ctrlSnap is its copy-on-write sending lists and destination sets.
 	ctrl     *ctrlPlane
 	ctrlSnap atomic.Pointer[ctrlSnapshot]
 
-	// mu guards the cold-path control state below: client registry,
-	// subscription and routing tables (the data plane reads them only
-	// through the snapshots above).
+	// mu guards the cold-path control state below: client registry and
+	// subscription ledger (the data plane reads them only through the
+	// snapshots above).
 	mu      sync.Mutex
 	clients map[*clientConn]struct{}
 	// topics is the per-topic subscription ledger: legacy per-connection
@@ -238,9 +225,7 @@ type Broker struct {
 	// dirtySubs queues topics whose immutable ledger must be rebuilt into
 	// the next subsSnapshot (see flushSubsLocked).
 	dirtySubs map[int32]struct{}
-	// routes[(topic, subscriberBroker)] = distributed routing state
-	routes map[routeKey]*routeState
-	closed bool
+	closed    bool
 
 	// subsKick nudges the session-churn snapshot flusher (buffered 1).
 	subsKick chan struct{}
@@ -275,47 +260,18 @@ type Broker struct {
 	wireFrames atomic.Uint64
 	wireBytes  atomic.Uint64
 
-	// Relay-aggregation telemetry: AckBatch frames emitted, legacy Ack
-	// frames they replaced, and encoded bytes saved versus the legacy
-	// framing (ACK and DATA batching combined).
+	// Relay-aggregation telemetry: AckBatch frames emitted, the per-frame
+	// ACKs they stand in for, and encoded bytes saved versus one frame per
+	// DATA and per ACK (both directions combined).
 	ackBatches         atomic.Uint64
 	ackFramesCoalesced atomic.Uint64
 	relayBytesSaved    atomic.Uint64
-}
-
-// routeSnapshot is the data plane's immutable view of the Algorithm-1
-// routing state: Theorem-1 sending lists per (topic, subscriber broker) and
-// the sorted destination set per topic for publishes. Rebuilt by
-// recomputeAndAdvertise; the contained slices are never mutated after the
-// snapshot is published.
-type routeSnapshot struct {
-	lists        map[routeKey][]int
-	destsByTopic map[int32][]int
 }
 
 // subsSnapshot is the data plane's immutable view of the local
 // subscriptions: one materialized delivery ledger per topic (edge.go).
 type subsSnapshot struct {
 	byTopic map[int32]*topicLedger
-}
-
-type routeKey struct {
-	topic int32
-	sub   int32
-}
-
-// routeState is the per-(topic, subscriber broker) routing state of
-// Algorithm 1: the latest neighbor parameters, this broker's own <d, r>,
-// and the Theorem-1 sending list.
-type routeState struct {
-	deadline time.Duration
-	// params[neighborID] is the neighbor's advertised <d, r>.
-	params map[int]algo1.DR
-	own    algo1.DR
-	list   []int
-	// advertised is the last value shared with neighbors.
-	advertised algo1.DR
-	haveAdv    bool
 }
 
 // New validates the configuration and prepares a broker (not yet listening).
@@ -341,7 +297,6 @@ func New(cfg Config) (*Broker, error) {
 		clients:   make(map[*clientConn]struct{}),
 		topics:    make(map[int32]*topicSubs),
 		dirtySubs: make(map[int32]struct{}),
-		routes:    make(map[routeKey]*routeState),
 		epoch:     time.Now(),
 		done:      make(chan struct{}),
 		subsKick:  make(chan struct{}, 1),
@@ -351,8 +306,8 @@ func New(cfg Config) (*Broker, error) {
 	for id := range cfg.Neighbors {
 		b.neighbors[id] = newNeighborConn(id)
 	}
-	b.routesSnap.Store(&routeSnapshot{})
 	b.subsSnap.Store(&subsSnapshot{})
+	b.ctrlSnap.Store(&ctrlSnapshot{})
 	// A restarted broker must not reuse frame or packet IDs its previous
 	// incarnation put on the wire recently: peers retain both in dedup
 	// state for up to 2×MaxLifetime, and a collision would silently swallow
@@ -394,12 +349,10 @@ func New(cfg Config) (*Broker, error) {
 	// SessionSub frames may arrive over pipe connections before a listener
 	// exists, and their deferred snapshot publishes need a running flusher.
 	b.goTracked(func() { b.subsFlusher() })
-	if !cfg.DisableLinkState {
-		b.ctrl = newCtrlPlane(b)
-		// The control loop starts with the broker for the same reason the
-		// shards do: pipe-attached tests gossip before a listener exists.
-		b.goTracked(func() { b.ctrl.loop() })
-	}
+	// The control loop starts with the broker for the same reason the shards
+	// do: pipe-attached tests gossip before a listener exists.
+	b.ctrl = newCtrlPlane(b)
+	b.goTracked(func() { b.ctrl.loop() })
 	// Replay goes last: the recovered flights are ordinary mailbox work and
 	// need running shards. Links are still down at this point, so replayed
 	// sends fail over (and, in Persistent mode, hold) until neighbors attach.
@@ -505,7 +458,6 @@ func (b *Broker) StartListener(ln net.Listener) error {
 		}
 	}
 	b.goTracked(func() { b.pingLoop() })
-	b.goTracked(func() { b.advertLoop() })
 	return nil
 }
 
@@ -567,14 +519,13 @@ type Stats struct {
 	// Edge-tier gauges (not counters): current level, not cumulative.
 	Sessions      uint64 // live multiplexed client sessions
 	Subscriptions uint64 // live logical subscriptions (legacy + session)
-	// Relay-aggregation counters: zero on legacy-only links or with
-	// Config.DisableRelayBatch set.
+	// Relay-aggregation counters.
 	AckBatches         uint64 // AckBatch frames sent to neighbors
-	AckFramesCoalesced uint64 // legacy Ack frames those batches replaced
-	RelayBytesSaved    uint64 // encoded bytes saved vs legacy relay framing
-	// Ctrl reports the gossiped link-state control plane (zeros with
-	// Config.DisableLinkState); Links is its database's current per-link
-	// EWMA estimates with each origin's last gossip epoch.
+	AckFramesCoalesced uint64 // hop-by-hop ACKs those batches carried
+	RelayBytesSaved    uint64 // encoded bytes saved vs one frame per DATA and ACK
+	// Ctrl reports the gossiped link-state control plane; Links is its
+	// database's current per-link EWMA estimates with each origin's last
+	// gossip epoch.
 	Ctrl  wire.CtrlStat
 	Links []wire.LinkStat
 	// Wal reports the crash-durable custody journal (Enabled false and
@@ -685,26 +636,7 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 			Gamma:     gamma,
 		})
 	}
-	keys := make([]routeKey, 0, len(b.routes))
-	for key := range b.routes {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].topic != keys[j].topic {
-			return keys[i].topic < keys[j].topic
-		}
-		return keys[i].sub < keys[j].sub
-	})
-	for _, key := range keys {
-		rs := b.routes[key]
-		reply.Routes = append(reply.Routes, wire.RouteStat{
-			Topic:   key.topic,
-			Sub:     key.sub,
-			D:       rs.own.D,
-			R:       rs.own.R,
-			ListLen: int32(len(rs.list)),
-		})
-	}
+	reply.Routes = b.ctrlSnap.Load().routes
 	return reply
 }
 

@@ -157,9 +157,7 @@ func TestTwoBrokerDelivery(t *testing.T) {
 	// Wait for broker 0 to learn a route to (7, broker 1).
 	waitFor(t, 3*time.Second, "route propagation", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(7, 1)) > 0
+		return len(ctrlList(b, 7, 1)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -191,9 +189,7 @@ func TestLineDeliveryAcrossRelay(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "route at broker 0", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(3, 2)) > 0
+		return len(ctrlList(b, 3, 2)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -236,10 +232,8 @@ func TestFanoutToMultipleSubscriberBrokers(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "all routes at broker 0", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		for i := int32(1); i <= 3; i++ {
-			if len(b.sendingListLocked(9, i)) == 0 {
+			if len(ctrlList(b, 9, i)) == 0 {
 				return false
 			}
 		}
@@ -275,9 +269,7 @@ func TestFailoverAroundDeadBroker(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "both routes at broker 0", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(5, 3)) >= 2
+		return len(ctrlList(b, 5, 3)) >= 2
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -350,9 +342,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(1, 1)) > 0
+		return len(ctrlList(b, 1, 1)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -387,9 +377,7 @@ func TestStatsRequestReply(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(3, 1)) > 0
+		return len(ctrlList(b, 3, 1)) > 0
 	})
 	mon, err := Dial(o.addrs[0], "mon")
 	if err != nil {

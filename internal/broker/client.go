@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,11 +61,14 @@ func Dial(addr, name string) (*Client, error) {
 }
 
 // readLoop pumps deliveries into the inbox until the connection drops.
+// Frames are decoded by a pooled Reader, so everything handed out of the
+// loop is copied first.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	defer close(c.inbox)
+	rd := wire.NewReader(bufio.NewReaderSize(c.conn, readBufSize))
 	for {
-		msg, err := wire.Read(c.conn)
+		msg, err := rd.Next()
 		if err != nil {
 			c.mu.Lock()
 			if !c.closed {
@@ -79,7 +85,7 @@ func (c *Client) readLoop() {
 				Source:      m.Source,
 				PublishedAt: m.PublishedAt,
 				Latency:     time.Since(m.PublishedAt),
-				Payload:     m.Payload,
+				Payload:     bytes.Clone(m.Payload),
 			}
 			select {
 			case c.inbox <- d:
@@ -91,7 +97,12 @@ func (c *Client) readLoop() {
 			delete(c.statsWait, m.Token)
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- m
+				reply := *m
+				reply.Neighbors = slices.Clone(m.Neighbors)
+				reply.Routes = slices.Clone(m.Routes)
+				reply.Shards = slices.Clone(m.Shards)
+				reply.Links = slices.Clone(m.Links)
+				ch <- &reply
 			}
 		case *wire.Pong:
 			// ignore

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo1"
 	"repro/internal/wire"
 )
 
@@ -90,8 +89,8 @@ func (w *connWriter) kick() {
 // send enqueues one message for the writer. A full queue is given a brief
 // grace period (backpressure) and then the message is dropped with
 // errSendQueueFull; the connection itself stays up — Algorithm 2's
-// retransmit machinery covers dropped data frames, and pings/adverts are
-// periodic anyway.
+// retransmit machinery covers dropped data frames, and pings and link-state
+// floods are periodic anyway.
 func (w *connWriter) send(msg wire.Message) error {
 	select {
 	case <-w.stop:
@@ -124,16 +123,16 @@ func (w *connWriter) send(msg wire.Message) error {
 // drops the connection so the dial loop can re-establish it.
 //
 // For neighbor links (nc != nil) the writer is also the relay-aggregation
-// point: when the link negotiated wire.CapRelayBatch, consecutive queued
-// Data messages are packed into DataBatch frames, and every flush drains
-// the neighbor's coalesced-ACK set into one AckBatch frame. Pooled
-// messages (wire.Data, wire.MuxDeliver) are recycled after encoding.
+// point: consecutive queued Data messages are packed into DataBatch frames,
+// and every flush drains the neighbor's coalesced-ACK set into one AckBatch
+// frame. Pooled messages (wire.Data, wire.MuxDeliver) are recycled after
+// encoding.
 func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit func()) {
 	defer onExit()
 	buf := make([]byte, 0, writerBufCap)
 	var (
-		batch       wire.DataBatch // consecutive Data frames for a batch peer
-		batchLegacy int            // their legacy encoded size (telemetry)
+		batch       wire.DataBatch // consecutive queued Data frames
+		batchLegacy int            // their size as one frame each (telemetry)
 		release     []wire.Message // pooled messages to recycle after encode
 		ackIDs      []uint64       // coalesced-ACK drain scratch
 	)
@@ -158,7 +157,7 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		if msg == nil { // kick(): pure wakeup for the ACK coalescer
 			return
 		}
-		if d, ok := msg.(*wire.Data); ok && nc.batchTo(b) {
+		if d, ok := msg.(*wire.Data); ok {
 			batch.Frames = append(batch.Frames, *d)
 			batchLegacy += legacyDataBytes(d)
 			release = append(release, msg)
@@ -253,27 +252,23 @@ type neighborConn struct {
 	gamma    float64
 	lastPing map[uint64]time.Time
 
-	// Relay-plane aggregation state (see relay.go). peerBatch records
-	// whether the currently attached peer advertised wire.CapRelayBatch in
-	// its Hello; pendingAcks is the coalesced hop-by-hop ACK set drained by
-	// the writer, with ackFlushTimer bounding how long an ACK may sit
-	// (always far inside the sender's retransmit timeout).
-	peerBatch     atomic.Bool
+	// Relay-plane aggregation state (see relay.go): pendingAcks is the
+	// coalesced hop-by-hop ACK set drained by the writer, with
+	// ackFlushTimer bounding how long an ACK may sit (always far inside the
+	// sender's retransmit timeout).
 	ackMu         sync.Mutex
 	pendingAcks   []uint64
 	ackFlushTimer *time.Timer
 
-	// Control-plane state (see controlplane.go). peerLinkState mirrors
-	// peerBatch for wire.CapLinkState. The fields below are guarded by mu:
+	// Control-plane state (see controlplane.go), guarded by mu:
 	// probeTok/probeAt track the single outstanding PROBE on this link,
 	// gammaAt is the last time any delivery signal (ACK outcome or probe
 	// echo) updated gamma, and dataSend maps sampled outbound frame IDs to
 	// send times for ACK-derived alpha samples.
-	peerLinkState atomic.Bool
-	probeTok      uint64
-	probeAt       time.Time
-	gammaAt       time.Time
-	dataSend      map[uint64]time.Time
+	probeTok uint64
+	probeAt  time.Time
+	gammaAt  time.Time
+	dataSend map[uint64]time.Time
 }
 
 // Link-estimate tuning.
@@ -318,8 +313,8 @@ func (nc *neighborConn) connected() bool {
 	return nc.conn != nil
 }
 
-// attach installs a TCP connection, replacing any previous one, and starts
-// its writer pipeline.
+// attach installs a TCP connection, replacing any previous one, starts its
+// writer pipeline and pushes the link-state database to the peer.
 func (nc *neighborConn) attach(b *Broker, conn net.Conn) {
 	nc.resetRelay()
 	w := newConnWriter(conn, b.cfg.SendQueue, &b.queueDrops)
@@ -346,7 +341,7 @@ func (nc *neighborConn) attach(b *Broker, conn net.Conn) {
 			b.ctrl.kickCtrl()
 		})
 	})
-	b.ctrl.kickCtrl()
+	b.ctrl.syncTo(nc)
 	// A dial or inbound handshake that completes while Close is tearing
 	// links down can install this connection after Close's pass over
 	// b.neighbors — nothing would ever close it and Close would wait on its
@@ -613,18 +608,14 @@ func (b *Broker) handleInbound(conn net.Conn) {
 		return
 	}
 	if hello.BrokerID >= 0 {
-		b.handleNeighborConn(int(hello.BrokerID), hello.Name, conn)
+		b.handleNeighborConn(int(hello.BrokerID), conn)
 		return
 	}
 	b.handleClientConn(hello.Name, conn)
 }
 
 // handleNeighborConn registers an inbound broker link and pumps its frames.
-// The dialer's Hello Name carries its capability tokens; the acceptor
-// records them and replies with its own Hello so the dialer learns this
-// side's capabilities too (legacy dialers log the unexpected HELLO and
-// carry on with the legacy framing).
-func (b *Broker) handleNeighborConn(id int, name string, conn net.Conn) {
+func (b *Broker) handleNeighborConn(id int, conn net.Conn) {
 	if _, known := b.cfg.Neighbors[id]; !known {
 		b.logf("rejecting unknown neighbor %d", id)
 		_ = conn.Close()
@@ -632,12 +623,6 @@ func (b *Broker) handleNeighborConn(id int, name string, conn net.Conn) {
 	}
 	nc := b.neighbor(id)
 	nc.attach(b, conn)
-	nc.peerBatch.Store(wire.HasCap(name, wire.CapRelayBatch))
-	nc.peerLinkState.Store(wire.HasCap(name, wire.CapLinkState))
-	_ = nc.send(&wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()})
-	if nc.linkStateTo(b) {
-		b.ctrl.syncTo(nc)
-	}
 	b.logf("neighbor %d connected (inbound)", id)
 	b.readNeighbor(nc, conn)
 }
@@ -684,7 +669,7 @@ func (b *Broker) dialLoop(id int, addr string) {
 			}
 			continue
 		}
-		if err := wire.Write(conn, &wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()}); err != nil {
+		if err := wire.Write(conn, &wire.Hello{BrokerID: int32(b.cfg.ID), Name: "broker"}); err != nil {
 			_ = conn.Close()
 			if !fail() {
 				return
@@ -726,26 +711,12 @@ func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 		_ = nc.send(&wire.Pong{Token: m.Token})
 	case *wire.Pong:
 		nc.recordPong(m.Token, time.Now())
-	case *wire.Advert:
-		b.handleAdvert(nc.id, m)
-	case *wire.Ack:
-		if b.ctrl != nil {
-			nc.noteDataAck(m.FrameID, time.Now())
-		}
-		b.handleAck(m.FrameID)
 	case *wire.AckBatch:
-		if b.ctrl != nil {
-			now := time.Now()
-			for _, id := range m.FrameIDs {
-				nc.noteDataAck(id, now)
-			}
-		}
+		now := time.Now()
 		for _, id := range m.FrameIDs {
+			nc.noteDataAck(id, now)
 			b.handleAck(id)
 		}
-	case *wire.Data:
-		b.custodyAck(nc, m)
-		b.handleData(nc.id, m)
 	case *wire.DataBatch:
 		for i := range m.Frames {
 			d := &m.Frames[i]
@@ -756,14 +727,6 @@ func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 		b.handleLinkState(nc, m)
 	case *wire.Probe:
 		b.handleProbe(nc, m)
-	case *wire.Hello:
-		// The acceptor's Hello reply: learn the peer's capabilities (the
-		// dialer's own capability tokens went out with dialLoop's Hello).
-		nc.peerBatch.Store(wire.HasCap(m.Name, wire.CapRelayBatch))
-		nc.peerLinkState.Store(wire.HasCap(m.Name, wire.CapLinkState))
-		if nc.linkStateTo(b) {
-			b.ctrl.syncTo(nc)
-		}
 	default:
 		b.logf("neighbor %d sent unexpected %v", nc.id, msg.Type())
 	}
@@ -793,7 +756,7 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 		// linger in the delivery snapshot for a coalescing window.
 		b.flushSubsLocked()
 		b.mu.Unlock()
-		b.recomputeLocalRoutes()
+		b.ctrl.kickCtrl()
 		c.w.shutdown()
 		_ = conn.Close()
 	}()
@@ -845,21 +808,6 @@ func (b *Broker) pingLoop() {
 	}
 }
 
-// advertLoop periodically re-advertises all parameters (repairing lost
-// adverts and propagating alpha/gamma drift) and re-runs Algorithm 1.
-func (b *Broker) advertLoop() {
-	ticker := time.NewTicker(b.cfg.AdvertInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.done:
-			return
-		case <-ticker.C:
-		}
-		b.recomputeAndAdvertise(true)
-	}
-}
-
 // sleepUnlessDone waits d or until done closes; it reports false on done.
 func sleepUnlessDone(done <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
@@ -870,14 +818,4 @@ func sleepUnlessDone(done <-chan struct{}, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// linkStats adapts neighbor estimates for algo1.BuildTable-style math.
-func (b *Broker) linkStats(id int) algo1.DR {
-	nc, ok := b.neighbors[id]
-	if !ok || !nc.connected() {
-		return algo1.Unreachable()
-	}
-	alpha, gamma := nc.estimate()
-	return algo1.LinkStats(alpha, gamma, b.cfg.M)
 }

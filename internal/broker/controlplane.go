@@ -2,15 +2,18 @@ package broker
 
 // The live Algorithm-1 control plane: the second shell over the
 // transport-agnostic engine in internal/algo1 (the DES router in
-// internal/core is the first).
+// internal/core is the first), and the broker's only route plane.
 //
 // Every broker measures its own links from real traffic — alpha from ping
 // and ACK round trips, gamma from hop-by-hop ACK outcomes, with a low-rate
 // PROBE exchange covering links no data currently crosses — and floods the
-// measured record set to its neighbors as a wire.LinkState frame whenever
-// an estimate moves. Floods carry an origin-local, strictly increasing
+// measured record set to its neighbors as a wire.LinkState frame, together
+// with its subscription membership: one (topic, deadline) record per topic
+// it has local subscribers for. It floods whenever an estimate moves or the
+// membership changes, and every AdvertInterval regardless, repairing floods
+// lost to link churn. Floods carry an origin-local, strictly increasing
 // epoch; receivers drop stale replays, re-flood newer records to their
-// other capable neighbors, and fold the records into a link-state database
+// other neighbors, and fold the records into a link-state database
 // (linkStateDB) that implements algo1.Deps. Applying a flood diffs it
 // against the origin's previous record set, so the deltas handed to the
 // incremental rebuild driver are 1:1 with what the gossip actually
@@ -18,14 +21,14 @@ package broker
 // death re-sorts the affected Theorem-1 sending lists within about one
 // LinkStateInterval of the flood arriving.
 //
-// The resulting sending lists are published copy-on-write (ctrlSnapshot)
-// and consulted by the data plane ahead of the advert-plane lists
-// (shardShell.SendingList); destination membership (which brokers
-// subscribe to a topic) stays advert-driven, so a mixed overlay where some
-// brokers never advertise wire.CapLinkState keeps routing exactly as
-// before on the legacy links.
+// The membership records are the driver's (topic, subscriber) pair set.
+// Every rebuild publishes a copy-on-write ctrlSnapshot: this broker's
+// sending lists (shardShell.SendingList), each topic's publish destination
+// set — the subscriber brokers the gossiped graph reaches — and the
+// per-pair <d, r> that monitoring reports.
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -47,15 +50,19 @@ const (
 	// instead (a sound over-approximation).
 	ctrlChangeLogMax = 4096
 	// ctrlAlphaTolerance / ctrlGammaTolerance are how far a local estimate
-	// must move before the broker re-floods it (mirrors advertTolerance).
+	// must move before the broker re-floods it.
 	ctrlAlphaTolerance = time.Millisecond
 	ctrlGammaTolerance = 0.01
-	// ctrlRefreshEvery re-floods unchanged local estimates every N control
-	// intervals anyway, repairing floods lost to link churn.
-	ctrlRefreshEvery = 10
 	// maxDataSamples bounds the per-link map of outbound frame send times
 	// kept for ACK-derived alpha sampling.
 	maxDataSamples = 32
+	// ctrlLostGrace is how many LinkStateIntervals a member broker the
+	// gossiped graph stops reaching stays in the destination sets. A link
+	// that resets and redials withdraws and re-floods within that time, and
+	// a publish in between must still name the member, or it is lost
+	// rather than held; a member unreachable for longer (crashed, or
+	// partitioned beyond a blip) drops out.
+	ctrlLostGrace = 2
 )
 
 // ctrlLink is one directed link estimate as gossip reported it.
@@ -64,10 +71,12 @@ type ctrlLink struct {
 	gamma float64
 }
 
-// ctrlOrigin is one broker's latest flooded record set.
+// ctrlOrigin is one broker's latest flooded record set: its links and its
+// membership, sorted by topic.
 type ctrlOrigin struct {
 	epoch uint64
 	links map[int32]ctrlLink
+	subs  []wire.SubRecord
 }
 
 // linkStateDB is the gossip-fed monitoring substrate: each origin's latest
@@ -78,7 +87,9 @@ type ctrlOrigin struct {
 // A crashed broker's own records linger (nobody floods on its behalf), but
 // they are harmless: reaching it requires a live inbound link, and its
 // neighbors withdraw those from their own record sets as soon as the TCP
-// connection drops.
+// connection drops. Its lingering membership keeps its pairs registered,
+// but an unreachable subscriber has empty sending lists and is left out of
+// every destination set.
 type linkStateDB struct {
 	mu      sync.Mutex
 	origins map[int32]*ctrlOrigin
@@ -86,6 +97,9 @@ type linkStateDB struct {
 	// topoVer advances when the link or node SET changes (not mere
 	// estimate drift) — the driver's graph must be rebuilt then.
 	topoVer uint64
+	// memberVer advances when any origin's membership changes — the
+	// driver's pair set must be re-synced then.
+	memberVer uint64
 	// changes[k] holds the links whose estimates changed moving the
 	// version from logBase+k to logBase+k+1.
 	changes [][][2]int
@@ -96,23 +110,33 @@ func newLinkStateDB() *linkStateDB {
 	return &linkStateDB{origins: make(map[int32]*ctrlOrigin)}
 }
 
-// apply folds one flood into the database. newer reports whether the epoch
-// advanced (the flood should be re-flooded); changed whether any estimate
-// actually moved (the driver has table work).
-func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord) (newer, changed bool) {
+// apply folds one flood into the database; it retains none of ls's
+// slices. newer reports whether the epoch advanced (the flood should be
+// re-flooded); changed whether an estimate or the membership actually
+// moved (the driver has work).
+func (db *linkStateDB) apply(ls *wire.LinkState) (newer, changed bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	origin := ls.Origin
 	os := db.origins[origin]
-	if os != nil && epoch <= os.epoch {
+	if os != nil && ls.Epoch <= os.epoch {
 		return false, false
 	}
 	if os == nil {
 		os = &ctrlOrigin{links: make(map[int32]ctrlLink)}
 		db.origins[origin] = os
 	}
-	os.epoch = epoch
-	next := make(map[int32]ctrlLink, len(recs))
-	for _, r := range recs {
+	os.epoch = ls.Epoch
+	subs := slices.Clone(ls.Subs)
+	slices.SortFunc(subs, func(a, b wire.SubRecord) int { return cmp.Compare(a.Topic, b.Topic) })
+	subs = slices.CompactFunc(subs, func(a, b wire.SubRecord) bool { return a.Topic == b.Topic })
+	membership := !slices.Equal(subs, os.subs)
+	if membership {
+		os.subs = subs
+		db.memberVer++
+	}
+	next := make(map[int32]ctrlLink, len(ls.Links))
+	for _, r := range ls.Links {
 		if r.Gamma <= 0 {
 			continue // an explicit withdrawal: simply absent from the new set
 		}
@@ -140,7 +164,7 @@ func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord)
 		db.topoVer++
 	}
 	if len(delta) == 0 {
-		return true, false
+		return true, membership
 	}
 	db.changes = append(db.changes, delta)
 	db.version++
@@ -152,11 +176,57 @@ func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord)
 	return true, true
 }
 
-// topoVersion returns the current topology-change counter.
-func (db *linkStateDB) topoVersion() uint64 {
+// versions returns the topology- and membership-change counters.
+func (db *linkStateDB) versions() (topo, members uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.topoVer
+	return db.topoVer, db.memberVer
+}
+
+// member is one membership record: subscriber broker sub has local
+// subscribers for topic, the loosest of them requiring deadline.
+type member struct {
+	topic, sub int32
+	deadline   time.Duration
+}
+
+// members lists every origin's membership records, ordered by topic then
+// subscriber.
+func (db *linkStateDB) members() []member {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var out []member
+	for o, os := range db.origins {
+		for _, s := range os.subs {
+			out = append(out, member{topic: s.Topic, sub: o, deadline: s.Deadline})
+		}
+	}
+	slices.SortFunc(out, func(a, b member) int {
+		return cmp.Or(cmp.Compare(a.topic, b.topic), cmp.Compare(a.sub, b.sub))
+	})
+	return out
+}
+
+// reachable returns every broker a directed path of live links (each hop
+// reported by its origin) leads to from src, src included.
+func (db *linkStateDB) reachable(src int32) map[int32]bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	seen := map[int32]bool{src: true}
+	queue := []int32{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		if os := db.origins[u]; os != nil {
+			for v := range os.links {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return seen
 }
 
 // buildGraph materializes the overlay graph the database currently
@@ -254,15 +324,15 @@ func (db *linkStateDB) linkStats() []wire.LinkStat {
 }
 
 // snapshotFloods renders every origin's current record set as LinkState
-// frames — the full-database sync sent to a capable neighbor on attach so
-// a restarted broker converges without waiting out every origin's next
+// frames — the full-database sync sent to a neighbor on attach so a
+// restarted broker converges without waiting out every origin's next
 // refresh.
 func (db *linkStateDB) snapshotFloods() []*wire.LinkState {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]*wire.LinkState, 0, len(db.origins))
 	for o, os := range db.origins {
-		ls := &wire.LinkState{Origin: o, Epoch: os.epoch, Links: make([]wire.LinkRecord, 0, len(os.links))}
+		ls := &wire.LinkState{Origin: o, Epoch: os.epoch, Links: make([]wire.LinkRecord, 0, len(os.links)), Subs: slices.Clone(os.subs)}
 		for to, l := range os.links {
 			ls.Links = append(ls.Links, wire.LinkRecord{To: to, Alpha: l.alpha, Gamma: l.gamma})
 		}
@@ -273,10 +343,18 @@ func (db *linkStateDB) snapshotFloods() []*wire.LinkState {
 }
 
 // ctrlSnapshot is the data plane's copy-on-write view of the control
-// plane's Theorem-1 sending lists; the contained slices are table-owned
-// and never mutated after publication.
+// plane: Theorem-1 sending lists per (topic, subscriber broker), the sorted
+// destination set per topic for publishes, and the per-pair route stats
+// for monitoring. Nothing in it is mutated after publication.
 type ctrlSnapshot struct {
-	lists map[routeKey][]int
+	lists        map[routeKey][]int
+	destsByTopic map[int32][]int
+	routes       []wire.RouteStat
+}
+
+type routeKey struct {
+	topic int32
+	sub   int32
 }
 
 // ctrlPlane owns the broker's gossip-fed control state: the link-state
@@ -289,16 +367,28 @@ type ctrlPlane struct {
 	db   *linkStateDB
 	drv  *algo1.Driver
 	kick chan struct{}
+	// frozen is a test hook: while set, the control loop skips its steps,
+	// so the published sending lists stay fixed.
+	frozen atomic.Bool
 
 	// epoch is this broker's own flood epoch: wall-clock seeded so a
 	// restarted broker's floods always outrank its previous incarnation's,
-	// then incremented per flood.
-	epoch      uint64
-	lastFlood  []wire.LinkRecord
-	sinceFlood int
-	topoVer    uint64 // db.topoVer the driver's graph currently reflects
-	probeTok   uint64 // probe token allocator (control goroutine only)
-	budgets    map[time.Duration][]time.Duration
+	// then incremented per flood. lastLinks/lastSubs/lastFlood are the
+	// last flood's content and time.
+	epoch     uint64
+	lastLinks []wire.LinkRecord
+	lastSubs  []wire.SubRecord
+	lastFlood time.Time
+	// topoVer/memberVer are the db versions the driver's graph and pair
+	// set currently reflect.
+	topoVer, memberVer uint64
+	// lostAt is when each unreachable member broker was first seen
+	// unreachable; lostHeld reports that the last publish kept one of them
+	// within ctrlLostGrace, so the next step must publish again.
+	lostAt   map[int32]time.Time
+	lostHeld bool
+	probeTok uint64 // probe token allocator (control goroutine only)
+	budgets  map[time.Duration][]time.Duration
 
 	// Counters mirrored for Stats/statsReply (read from any goroutine).
 	sent, recv, stale          atomic.Uint64
@@ -320,12 +410,10 @@ func newCtrlPlane(b *Broker) *ctrlPlane {
 }
 
 // kickCtrl nudges the control loop to run a step ahead of its ticker —
-// after gossip changed an estimate, a capable peer attached, or a link
-// dropped. Best-effort: a pending kick already guarantees a prompt step.
+// after gossip changed an estimate or a membership, a peer attached, a link
+// dropped, or the local membership changed. Best-effort: a pending kick
+// already guarantees a prompt step.
 func (c *ctrlPlane) kickCtrl() {
-	if c == nil {
-		return
-	}
 	select {
 	case c.kick <- struct{}{}:
 	default:
@@ -344,20 +432,22 @@ func (c *ctrlPlane) loop() {
 		case <-ticker.C:
 		case <-c.kick:
 		}
-		c.step()
+		if !c.frozen.Load() {
+			c.step()
+		}
 	}
 }
 
-// step runs one control epoch: re-measure and maybe flood the local
-// links, probe idle ones, sync the pair set from the advert plane, rebuild
-// incrementally and publish the new sending lists.
+// step runs one control epoch: re-measure and maybe flood the local links
+// and membership, probe idle links, sync the pair set from the database,
+// rebuild incrementally and publish the new snapshot.
 func (c *ctrlPlane) step() {
 	now := time.Now()
 	c.floodLocal(now)
 	c.probeIdle(now)
-	c.syncPairs()
-	if c.drv.Rebuild() {
-		c.publish()
+	synced := c.syncPairs()
+	if c.drv.Rebuild() || synced || c.lostHeld {
+		c.publish(now)
 	}
 	st := c.drv.Stats()
 	c.versionA.Store(st.EstimateVersion)
@@ -412,32 +502,32 @@ func recordsClose(a, b []wire.LinkRecord) bool {
 }
 
 // floodLocal refreshes this broker's own record set: when an estimate
-// moved past tolerance (or the periodic repair is due), the set is applied
-// to the local database under a fresh epoch and flooded to every capable
-// neighbor. Applying the flooded values — not the raw estimates — keeps
-// every database in the overlay converging on identical content, so every
-// broker computes identical tables.
+// moved past tolerance, the membership changed, or the AdvertInterval
+// repair is due, the set is applied to the local database under a fresh
+// epoch and flooded to every neighbor. Applying the flooded values — not
+// the raw estimates — keeps every database in the overlay converging on
+// identical content, so every broker computes identical tables.
 func (c *ctrlPlane) floodLocal(now time.Time) {
-	recs := c.localRecords()
-	c.sinceFlood++
-	if recordsClose(recs, c.lastFlood) && c.sinceFlood < ctrlRefreshEvery {
+	links := c.localRecords()
+	subs := c.b.localSubs()
+	if recordsClose(links, c.lastLinks) && slices.Equal(subs, c.lastSubs) &&
+		now.Sub(c.lastFlood) < c.b.cfg.AdvertInterval {
 		return
 	}
-	c.sinceFlood = 0
-	c.lastFlood = recs
+	c.lastLinks, c.lastSubs, c.lastFlood = links, subs, now
 	c.epoch++
 	c.epochA.Store(c.epoch)
-	self := int32(c.b.cfg.ID)
-	c.db.apply(self, c.epoch, recs)
-	c.flood(&wire.LinkState{Origin: self, Epoch: c.epoch, Links: recs}, -1)
+	ls := &wire.LinkState{Origin: int32(c.b.cfg.ID), Epoch: c.epoch, Links: links, Subs: subs}
+	c.db.apply(ls)
+	c.flood(ls, -1)
 }
 
-// flood sends one LinkState to every connected capable neighbor except
-// `except` (the peer it arrived from) and the origin itself. The message
-// is shared read-only across writer pipelines, like the legacy Deliver.
+// flood sends one LinkState to every connected neighbor except `except`
+// (the peer it arrived from) and the origin itself. The message is shared
+// read-only across writer pipelines.
 func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
 	for id, nc := range c.b.neighbors {
-		if id == except || id == int(ls.Origin) || !nc.linkStateTo(c.b) {
+		if id == except || id == int(ls.Origin) {
 			continue
 		}
 		if nc.send(ls) == nil {
@@ -446,12 +536,9 @@ func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
 	}
 }
 
-// syncTo pushes the full database to one freshly attached capable
-// neighbor, then schedules a step so local estimates re-flood promptly.
+// syncTo pushes the full database to one freshly attached neighbor, then
+// schedules a step so local estimates re-flood promptly.
 func (c *ctrlPlane) syncTo(nc *neighborConn) {
-	if c == nil {
-		return
-	}
 	for _, ls := range c.db.snapshotFloods() {
 		if nc.send(ls) == nil {
 			c.sent.Add(1)
@@ -461,14 +548,11 @@ func (c *ctrlPlane) syncTo(nc *neighborConn) {
 }
 
 // handleLinkState folds one received flood into the database, re-floods
-// newer records onward and wakes the control loop when an estimate moved.
-// m is recycled by the caller's Reader after return, so records are copied
-// before they are retained or re-flooded.
+// newer records onward and wakes the control loop when an estimate or the
+// membership moved. m is recycled by the caller's Reader after return, so
+// records are copied before they are re-flooded.
 func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 	c := b.ctrl
-	if c == nil {
-		return // link-state disabled: we never advertised the capability
-	}
 	c.recv.Add(1)
 	if m.Origin < 0 || m.Origin >= ctrlMaxNodeID || m.Origin == int32(b.cfg.ID) {
 		return // invalid origin, or our own flood reflected back
@@ -479,26 +563,26 @@ func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 			return
 		}
 	}
-	recs := slices.Clone(m.Links)
-	newer, changed := c.db.apply(m.Origin, m.Epoch, recs)
+	ls := &wire.LinkState{Origin: m.Origin, Epoch: m.Epoch, Links: slices.Clone(m.Links), Subs: slices.Clone(m.Subs)}
+	newer, changed := c.db.apply(ls)
 	if !newer {
 		c.stale.Add(1)
 		return
 	}
-	c.flood(&wire.LinkState{Origin: m.Origin, Epoch: m.Epoch, Links: recs}, nc.id)
+	c.flood(ls, nc.id)
 	if changed {
 		c.kickCtrl()
 	}
 }
 
 // probeIdle keeps gamma live on links no data currently crosses: one
-// outstanding PROBE per capable neighbor whose delivery estimate has had
+// outstanding PROBE per connected neighbor whose delivery estimate has had
 // no signal for a ping interval. An unanswered probe decays gamma exactly
 // like a missed ACK; the echo feeds alpha (RTT/2) and nudges gamma up.
 func (c *ctrlPlane) probeIdle(now time.Time) {
 	b := c.b
 	for _, nc := range b.neighbors {
-		if !nc.linkStateTo(b) || !nc.connected() {
+		if !nc.connected() {
 			continue
 		}
 		if tok, at := nc.probeState(); tok != 0 {
@@ -531,61 +615,48 @@ func (b *Broker) handleProbe(nc *neighborConn, m *wire.Probe) {
 		_ = nc.send(&wire.Probe{Token: m.Token, Reply: true})
 		return
 	}
-	if c := b.ctrl; c != nil && nc.probeReply(m.Token, time.Now()) {
-		c.probeReplies.Add(1)
+	if nc.probeReply(m.Token, time.Now()) {
+		b.ctrl.probeReplies.Add(1)
 	}
 }
 
-// syncPairs mirrors the advert plane's (topic, subscriber) set into the
-// driver. Budgets are uniform deadline vectors — every node's residual
-// D_XS is the subscription deadline — reproducing the live admission rule
-// (publishers are decoupled, so per-publisher residuals are unknowable;
-// see the package comment in broker.go). Identical re-registration is a
-// driver no-op, so the full sync per epoch costs nothing at steady state.
-func (c *ctrlPlane) syncPairs() {
-	b := c.b
-	type pairSpec struct {
-		key      routeKey
-		deadline time.Duration
+// syncPairs mirrors the database's membership records into the driver's
+// (topic, subscriber) pair set, first rebuilding the driver's graph when
+// the gossiped topology changed. Budgets are uniform deadline vectors —
+// every node's residual D_XS is the subscription deadline — reproducing the
+// live admission rule (publishers are decoupled, so per-publisher residuals
+// are unknowable; see the package comment in broker.go). It reports
+// whether the graph or the membership changed since the last sync.
+func (c *ctrlPlane) syncPairs() bool {
+	topoVer, memberVer := c.db.versions()
+	if topoVer == c.topoVer && memberVer == c.memberVer {
+		return false
 	}
-	b.mu.Lock()
-	specs := make([]pairSpec, 0, len(b.routes))
-	for key, rs := range b.routes {
-		dl := rs.deadline
-		if dl <= 0 {
-			dl = b.cfg.DefaultDeadline
-		}
-		specs = append(specs, pairSpec{key, dl})
-	}
-	b.mu.Unlock()
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].key.topic != specs[j].key.topic {
-			return specs[i].key.topic < specs[j].key.topic
-		}
-		return specs[i].key.sub < specs[j].key.sub
-	})
-
-	if tv := c.db.topoVersion(); tv != c.topoVer {
+	if topoVer != c.topoVer {
 		c.drv.SetGraph(c.db.buildGraph())
-		c.topoVer = tv
 		clear(c.budgets)
 	}
+	c.topoVer, c.memberVer = topoVer, memberVer
 	n := c.drv.Graph().N()
-	current := make(map[algo1.PairKey]bool, len(specs))
-	for _, sp := range specs {
-		if int(sp.key.sub) >= n || sp.key.sub < 0 {
+	current := make(map[algo1.PairKey]bool)
+	for _, m := range c.db.members() {
+		if m.sub < 0 || int(m.sub) >= n {
 			continue // subscriber not in the gossiped topology yet
 		}
-		budget := c.budgets[sp.deadline]
+		dl := m.deadline
+		if dl <= 0 {
+			dl = c.b.cfg.DefaultDeadline
+		}
+		budget := c.budgets[dl]
 		if len(budget) != n {
 			budget = make([]time.Duration, n)
 			for i := range budget {
-				budget[i] = sp.deadline
+				budget[i] = dl
 			}
-			c.budgets[sp.deadline] = budget
+			c.budgets[dl] = budget
 		}
-		key := algo1.PairKey{Topic: sp.key.topic, Sub: sp.key.sub}
-		c.drv.SetPair(key, int(sp.key.sub), budget)
+		key := algo1.PairKey{Topic: m.topic, Sub: m.sub}
+		c.drv.SetPair(key, int(m.sub), budget)
 		current[key] = true
 	}
 	var gone []algo1.PairKey
@@ -597,32 +668,64 @@ func (c *ctrlPlane) syncPairs() {
 	for _, key := range gone {
 		c.drv.RemovePair(key)
 	}
+	return true
 }
 
 // publish swaps in a fresh copy-on-write snapshot of this broker's own
-// sending lists (Lists[self] of each pair's table).
-func (c *ctrlPlane) publish() {
+// sending lists and <d, r> (Lists[self] and Params[self] of each pair's
+// table) and of every topic's subscriber brokers the gossiped graph
+// reaches, or stopped reaching less than ctrlLostGrace intervals ago.
+func (c *ctrlPlane) publish(now time.Time) {
 	self := c.b.cfg.ID
-	snap := &ctrlSnapshot{lists: make(map[routeKey][]int)}
+	reach := c.db.reachable(int32(self))
+	grace := ctrlLostGrace * c.b.cfg.LinkStateInterval
+	lost := make(map[int32]time.Time)
+	c.lostHeld = false
+	snap := &ctrlSnapshot{lists: make(map[routeKey][]int), destsByTopic: make(map[int32][]int)}
 	c.drv.Pairs(func(key algo1.PairKey, t *algo1.Table) {
+		dest := false
+		if key.Sub != int32(self) {
+			if reach[key.Sub] {
+				dest = true
+			} else {
+				at, ok := c.lostAt[key.Sub]
+				if !ok {
+					at = now
+				}
+				lost[key.Sub] = at
+				dest = now.Sub(at) < grace
+				c.lostHeld = c.lostHeld || dest
+			}
+		}
+		if dest {
+			snap.destsByTopic[key.Topic] = append(snap.destsByTopic[key.Topic], int(key.Sub))
+		}
 		if t == nil || self >= len(t.Lists) {
 			return
 		}
-		if l := t.Lists[self]; len(l) > 0 {
+		l := t.Lists[self]
+		if len(l) > 0 {
 			snap.lists[routeKey{topic: key.Topic, sub: key.Sub}] = l
 		}
+		own := t.Params[self]
+		snap.routes = append(snap.routes, wire.RouteStat{
+			Topic: key.Topic, Sub: key.Sub, D: own.D, R: own.R, ListLen: int32(len(l)),
+		})
 	})
+	for _, dests := range snap.destsByTopic {
+		sort.Ints(dests)
+	}
+	slices.SortFunc(snap.routes, func(a, b wire.RouteStat) int {
+		return cmp.Or(cmp.Compare(a.Topic, b.Topic), cmp.Compare(a.Sub, b.Sub))
+	})
+	c.lostAt = lost
 	c.b.ctrlSnap.Store(snap)
 }
 
 // ctrlStats snapshots the control plane for Stats and wire.StatsReply.
 func (b *Broker) ctrlStats() (wire.CtrlStat, []wire.LinkStat) {
 	c := b.ctrl
-	if c == nil {
-		return wire.CtrlStat{}, nil
-	}
 	return wire.CtrlStat{
-		Enabled:        true,
 		Epoch:          c.epochA.Load(),
 		Version:        c.versionA.Load(),
 		Rebuilds:       c.rebuildsA.Load(),
@@ -634,11 +737,4 @@ func (b *Broker) ctrlStats() (wire.CtrlStat, []wire.LinkStat) {
 		ProbesSent:     c.probes.Load(),
 		ProbeReplies:   c.probeReplies.Load(),
 	}, c.db.linkStats()
-}
-
-// linkStateTo reports whether control-plane frames may be sent to this
-// neighbor: link state enabled locally and the current peer advertised the
-// capability.
-func (nc *neighborConn) linkStateTo(b *Broker) bool {
-	return nc != nil && !b.cfg.DisableLinkState && nc.peerLinkState.Load()
 }

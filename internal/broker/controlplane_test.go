@@ -2,6 +2,7 @@ package broker
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,12 +19,12 @@ import (
 func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	db := newLinkStateDB()
 	recs := []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}}
-	if newer, changed := db.apply(0, 5, recs); !newer || !changed {
+	if newer, changed := db.apply(&wire.LinkState{Origin: 0, Epoch: 5, Links: recs}); !newer || !changed {
 		t.Fatalf("first flood: newer=%v changed=%v, want true/true", newer, changed)
 	}
 	// Same epoch replayed, then an older one: both stale.
 	for _, epoch := range []uint64{5, 4} {
-		if newer, _ := db.apply(0, epoch, []wire.LinkRecord{{To: 1, Alpha: time.Hour, Gamma: 0.1}}); newer {
+		if newer, _ := db.apply(&wire.LinkState{Origin: 0, Epoch: epoch, Links: []wire.LinkRecord{{To: 1, Alpha: time.Hour, Gamma: 0.1}}}); newer {
 			t.Fatalf("epoch %d accepted after epoch 5", epoch)
 		}
 	}
@@ -33,7 +34,7 @@ func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	// A newer epoch with identical records advances the epoch but is not a
 	// change — the driver must see a quiet version.
 	ver := db.EstimateVersion()
-	if newer, changed := db.apply(0, 6, recs); !newer || changed {
+	if newer, changed := db.apply(&wire.LinkState{Origin: 0, Epoch: 6, Links: recs}); !newer || changed {
 		t.Fatalf("identical re-flood: newer=%v changed=%v, want true/false", newer, changed)
 	}
 	if db.EstimateVersion() != ver {
@@ -47,22 +48,22 @@ func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 // link instead (sound over-approximation, never a silent miss).
 func TestLinkStateDBChangeLog(t *testing.T) {
 	db := newLinkStateDB()
-	db.apply(0, 1, []wire.LinkRecord{
+	db.apply(&wire.LinkState{Origin: 0, Epoch: 1, Links: []wire.LinkRecord{
 		{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9},
 		{To: 2, Alpha: 20 * time.Millisecond, Gamma: 0.8},
-	})
+	}})
 	v1 := db.EstimateVersion()
 	// Second flood moves only link 0->2 and withdraws nothing.
-	db.apply(0, 2, []wire.LinkRecord{
+	db.apply(&wire.LinkState{Origin: 0, Epoch: 2, Links: []wire.LinkRecord{
 		{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9},
 		{To: 2, Alpha: 25 * time.Millisecond, Gamma: 0.8},
-	})
+	}})
 	got := db.AppendChangedLinks(v1, db.EstimateVersion(), nil)
 	if len(got) != 1 || got[0] != [2]int{0, 2} {
 		t.Fatalf("delta = %v, want exactly [[0 2]]", got)
 	}
 	// A withdrawal (gamma 0) is a change too.
-	db.apply(0, 3, []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}})
+	db.apply(&wire.LinkState{Origin: 0, Epoch: 3, Links: []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}}})
 	got = db.AppendChangedLinks(v1, db.EstimateVersion(), nil)
 	if len(got) != 2 {
 		t.Fatalf("delta after withdrawal = %v, want two links", got)
@@ -148,7 +149,7 @@ func TestControlPlaneDifferential(t *testing.T) {
 					}
 					recs = append(recs, wire.LinkRecord{To: int32(e.To), Alpha: est.Alpha, Gamma: est.Gamma})
 				}
-				db.apply(int32(u), uint64(window)+1, recs)
+				db.apply(&wire.LinkState{Origin: int32(u), Epoch: uint64(window) + 1, Links: recs})
 			}
 			simDrv.Rebuild()
 			liveDrv.Rebuild()
@@ -168,11 +169,12 @@ func TestControlPlaneDifferential(t *testing.T) {
 // ctrlList reads broker b's current control-plane sending list for
 // (topic, sub), nil when none has been published.
 func ctrlList(b *Broker, topic, sub int32) []int {
-	cs := b.ctrlSnap.Load()
-	if cs == nil {
-		return nil
-	}
-	return cs.lists[routeKey{topic: topic, sub: sub}]
+	return b.ctrlSnap.Load().lists[routeKey{topic: topic, sub: sub}]
+}
+
+// ctrlDests reads broker b's current publish destination set for topic.
+func ctrlDests(b *Broker, topic int32) []int {
+	return b.ctrlSnap.Load().destsByTopic[topic]
 }
 
 // TestControlPlaneConvergence is the tentpole's live pin: on a diamond
@@ -200,7 +202,7 @@ func TestControlPlaneConvergence(t *testing.T) {
 		t.Fatalf("sending list = %v, want {1, 2}", l)
 	}
 	st := o.brokers[0].Stats()
-	if !st.Ctrl.Enabled || st.Ctrl.LinkStatesRecv == 0 || len(st.Links) == 0 {
+	if st.Ctrl.LinkStatesRecv == 0 || len(st.Links) == 0 {
 		t.Fatalf("control plane idle: %+v", st.Ctrl)
 	}
 
@@ -226,60 +228,172 @@ func TestControlPlaneConvergence(t *testing.T) {
 	}
 }
 
-// TestControlPlaneLegacyInterop pins mixed-topology safety: on a chain
-// 0 - 1 - 2 where the middle broker runs with DisableLinkState, zero
-// LINK_STATE frames cross either link, the legacy broker's routing is
-// byte-for-byte the advert plane's, and delivery still works end to end.
-func TestControlPlaneLegacyInterop(t *testing.T) {
-	o := newOverlayConfig(t, 3, [][2]int{{0, 1}, {1, 2}}, func(cfg *Config) {
-		if cfg.ID == 1 {
-			cfg.DisableLinkState = true
+// TestLinkStateDBMembership pins the membership half of the database: a
+// flood's (topic, deadline) records become (topic, origin) members, a
+// membership change alone is a change (the receiver must re-sync its
+// pairs) while an identical re-flood is not, and reachability follows only
+// links their origin still reports.
+func TestLinkStateDBMembership(t *testing.T) {
+	db := newLinkStateDB()
+	link := func(to int32) []wire.LinkRecord {
+		return []wire.LinkRecord{{To: to, Alpha: 10 * time.Millisecond, Gamma: 0.9}}
+	}
+	db.apply(&wire.LinkState{Origin: 0, Epoch: 1, Links: link(1)})
+	db.apply(&wire.LinkState{Origin: 1, Epoch: 1, Links: link(0)})
+	_, members := db.versions()
+	subs := []wire.SubRecord{{Topic: 9, Deadline: time.Second}, {Topic: 4, Deadline: 2 * time.Second}}
+	if newer, changed := db.apply(&wire.LinkState{Origin: 1, Epoch: 2, Links: link(0), Subs: subs}); !newer || !changed {
+		t.Fatalf("membership-only flood: newer=%v changed=%v, want true/true", newer, changed)
+	}
+	if _, m := db.versions(); m != members+1 {
+		t.Fatalf("member version %d -> %d, want one step", members, m)
+	}
+	want := []member{{topic: 4, sub: 1, deadline: 2 * time.Second}, {topic: 9, sub: 1, deadline: time.Second}}
+	if got := db.members(); !slices.Equal(got, want) {
+		t.Fatalf("members = %v, want %v", got, want)
+	}
+	if _, changed := db.apply(&wire.LinkState{Origin: 1, Epoch: 3, Links: link(0), Subs: subs}); changed {
+		t.Fatal("identical re-flood reported a change")
+	}
+	if !db.reachable(0)[1] {
+		t.Fatal("broker 1 unreachable over a live link")
+	}
+	// Broker 0 withdraws its link: 1's lingering records still name 0,
+	// but nothing leads from 0 to 1 any more.
+	db.apply(&wire.LinkState{Origin: 0, Epoch: 2})
+	if db.reachable(0)[1] {
+		t.Fatal("broker 1 still reachable after its only inbound link was withdrawn")
+	}
+}
+
+// TestDestinationGraceForLostMember pins ctrlLostGrace: a member broker
+// the gossiped graph stops reaching stays a destination until the grace
+// has run out (so a publish during a link reset and redial still names
+// it), regains a full grace once reachable again, and drops out after.
+// The control loop never ticks (hour-long interval), so the test drives
+// its steps with chosen clock values.
+func TestDestinationGraceForLostMember(t *testing.T) {
+	b, err := New(Config{ID: 0, Listen: "127.0.0.1:0", LinkStateInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c := b.ctrl
+	epoch := uint64(0)
+	setLink := func(up bool) {
+		epoch++
+		ls := &wire.LinkState{Origin: 0, Epoch: epoch}
+		if up {
+			ls.Links = []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}}
 		}
+		c.db.apply(ls)
+	}
+	c.db.apply(&wire.LinkState{Origin: 1, Epoch: 1,
+		Links: []wire.LinkRecord{{To: 0, Alpha: 10 * time.Millisecond, Gamma: 0.9}},
+		Subs:  []wire.SubRecord{{Topic: 5, Deadline: time.Second}}})
+	grace := ctrlLostGrace * b.cfg.LinkStateInterval
+	t0 := time.Now()
+	dests := func(at time.Duration) []int {
+		c.syncPairs()
+		c.drv.Rebuild()
+		c.publish(t0.Add(at))
+		return ctrlDests(b, 5)
+	}
+	setLink(true)
+	if got := dests(0); !slices.Equal(got, []int{1}) {
+		t.Fatalf("reachable member: dests = %v, want [1]", got)
+	}
+	setLink(false)
+	if got := dests(time.Minute); !slices.Equal(got, []int{1}) {
+		t.Fatalf("member dropped as soon as it became unreachable: dests = %v", got)
+	}
+	setLink(true)
+	if got := dests(2 * time.Minute); !slices.Equal(got, []int{1}) {
+		t.Fatalf("member back within the grace: dests = %v, want [1]", got)
+	}
+	setLink(false)
+	lost := 3 * time.Minute
+	for _, at := range []time.Duration{lost, lost + grace - time.Nanosecond} {
+		if got := dests(at); !slices.Equal(got, []int{1}) {
+			t.Fatalf("second outage, %v in: dests = %v, want a full grace", at-lost, got)
+		}
+	}
+	if got := dests(lost + grace); got != nil {
+		t.Fatalf("member unreachable for the whole grace: dests = %v, want none", got)
+	}
+}
+
+// TestControlPlaneMembershipFollowsSubscribers is the live pin for
+// membership gossip on a chain 0 - 1 - 2: the publisher's destination set
+// at broker 0 follows a subscriber broker that joins, leaves, joins again
+// and is killed, each within a few LinkStateIntervals (a kill also waits
+// out the ctrlLostGrace a link blip gets), and a publish after the kill
+// holds nothing in persistency for the broker the gossiped graph no longer
+// reaches.
+func TestControlPlaneMembershipFollowsSubscribers(t *testing.T) {
+	const topic = int32(11)
+	o := newOverlayConfig(t, 3, [][2]int{{0, 1}, {1, 2}}, func(cfg *Config) {
+		cfg.Persistent = true
+	})
+	within := (ctrlLostGrace + 3) * o.brokers[0].cfg.LinkStateInterval
+	witness, err := Dial(o.addrs[1], "witness")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer witness.Close()
+	if err := witness.Subscribe(topic, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "witness broker in the destination set", func() bool {
+		return slices.Equal(ctrlDests(o.brokers[0], topic), []int{1})
 	})
 	sub, err := Dial(o.addrs[2], "sub")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.Subscribe(9, time.Second); err != nil {
+	follow := func(what string, want []int) {
+		t.Helper()
+		waitFor(t, within, what, func() bool {
+			return slices.Equal(ctrlDests(o.brokers[0], topic), want)
+		})
+	}
+	if err := sub.Subscribe(topic, time.Second); err != nil {
 		t.Fatal(err)
 	}
+	follow("broker 2 to join", []int{1, 2})
+	if err := sub.Unsubscribe(topic); err != nil {
+		t.Fatal(err)
+	}
+	follow("broker 2 to leave", []int{1})
+	if err := sub.Subscribe(topic, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	follow("broker 2 to rejoin", []int{1, 2})
+	_ = o.brokers[2].Close()
+	follow("killed broker 2 to drop out", []int{1})
+
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitFor(t, 5*time.Second, "advert route 0->2", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(9, 2)) > 0
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := pub.Publish(topic, time.Second, []byte("after the kill")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		receiveOne(t, witness, 3*time.Second)
+	}
+	// Persistency would hold a copy for broker 2 until MaxLifetime (30s);
+	// with the destination set following the graph there is none to hold.
+	waitFor(t, time.Second, "broker 0's in-flight state to drain", func() bool {
+		_, flights, _ := o.brokers[0].PoolsLive()
+		return flights == 0
 	})
-	if err := pub.Publish(9, time.Second, []byte("across the legacy hop")); err != nil {
-		t.Fatal(err)
-	}
-	if d := receiveOne(t, sub, 3*time.Second); string(d.Payload) != "across the legacy hop" {
-		t.Fatalf("delivery = %+v", d)
-	}
-
-	// Give the control loops a few intervals to have done whatever they
-	// would wrongly do, then assert total silence on the legacy links.
-	time.Sleep(5 * o.brokers[0].cfg.LinkStateInterval)
-	for _, id := range []int{0, 2} {
-		st := o.brokers[id].Stats()
-		if st.Ctrl.LinkStatesSent != 0 || st.Ctrl.ProbesSent != 0 {
-			t.Errorf("broker %d sent %d LINK_STATE / %d PROBE frames to a legacy peer",
-				id, st.Ctrl.LinkStatesSent, st.Ctrl.ProbesSent)
-		}
-		if st.Ctrl.LinkStatesRecv != 0 {
-			t.Errorf("broker %d received %d LINK_STATE frames from a legacy peer", id, st.Ctrl.LinkStatesRecv)
-		}
-	}
-	st := o.brokers[1].Stats()
-	if st.Ctrl.Enabled {
-		t.Error("DisableLinkState broker reports an enabled control plane")
-	}
-	if ctrlList(o.brokers[1], 9, 2) != nil {
-		t.Error("legacy broker published a control-plane sending list")
+	if d := o.brokers[0].Stats().Dropped; d != 0 {
+		t.Errorf("broker 0 dropped %d destinations", d)
 	}
 }

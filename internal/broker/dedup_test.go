@@ -121,19 +121,14 @@ func TestUnsubscribeWithdrawsRoute(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "route to appear", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(4, 1)) > 0
+		return len(ctrlList(b, 4, 1)) > 0
 	})
 	if err := sub.Unsubscribe(4); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to be withdrawn", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		rs := b.routes[routeKey{topic: 4, sub: 1}]
-		return rs == nil || !rs.own.Reachable()
+		return ctrlList(b, 4, 1) == nil && ctrlDests(b, 4) == nil
 	})
 }
 
@@ -148,14 +143,12 @@ func TestClientDisconnectWithdrawsRoute(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "route to appear", func() bool {
 		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(6, 1)) > 0
+		return len(ctrlList(b, 6, 1)) > 0
 	})
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to be withdrawn after disconnect", func() bool {
-		return o.brokers[1].localLedger(6).subscribers() == 0
+		return o.brokers[1].localLedger(6).subscribers() == 0 && ctrlDests(o.brokers[0], 6) == nil
 	})
 }

@@ -259,6 +259,10 @@ func TestDurableReplayResumesFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "route 0→1", routesReady(o.brokers[0], 1))
+	// Freeze the origin's control plane so its destination set still names
+	// broker 1 after the subscriber leaves and its broker dies — the window
+	// before the withdrawal floods arrive, held open for the test.
+	o.brokers[0].ctrl.frozen.Store(true)
 	_ = sub.Close()
 
 	// Kill the subscriber's broker, then publish into the hole: the origin

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -18,7 +20,9 @@ import (
 // either synchronously (legacy subscribe, disconnects — rare, preserves the
 // historical immediate visibility) or by the coalescing flusher goroutine
 // (session churn — a registration burst of 100k SessionSubs publishes a
-// handful of snapshots, not 100k).
+// handful of snapshots, not 100k). Every published change kicks the
+// control loop, which floods the broker's new topic membership
+// (localSubs) to the overlay at once.
 //
 // Data plane: shard delivery flush looks the packet's topic up in the
 // snapshot and encodes each payload once per legacy subscriber plus once
@@ -217,7 +221,8 @@ func (b *Broker) kickSubsFlusher() {
 
 // subsFlusher is the session-churn coalescer: each kick waits one
 // subsFlushInterval (letting a subscription burst accumulate), then
-// publishes the snapshot and re-runs Algorithm 1 once for the whole batch.
+// publishes the snapshot and kicks the control loop once for the whole
+// batch.
 func (b *Broker) subsFlusher() {
 	for {
 		select {
@@ -232,9 +237,75 @@ func (b *Broker) subsFlusher() {
 		changed := b.flushSubsLocked()
 		b.mu.Unlock()
 		if changed {
-			b.recomputeAndAdvertise(false)
+			b.ctrl.kickCtrl()
 		}
 	}
+}
+
+// localSubs renders this broker's subscription membership for its
+// link-state flood: one record per topic with local subscribers, carrying
+// the loosest deadline among them, sorted by topic.
+func (b *Broker) localSubs() []wire.SubRecord {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	subs := make([]wire.SubRecord, 0, len(b.topics))
+	for topic, ts := range b.topics {
+		if ts.occupied() {
+			subs = append(subs, wire.SubRecord{Topic: topic, Deadline: ts.maxDeadline()})
+		}
+	}
+	slices.SortFunc(subs, func(a, b wire.SubRecord) int { return cmp.Compare(a.Topic, b.Topic) })
+	return subs
+}
+
+// subscribeLocal registers a legacy client subscription (one logical
+// subscriber per connection).
+func (b *Broker) subscribeLocal(c *clientConn, m *wire.Subscribe) {
+	deadline := m.Deadline
+	if deadline <= 0 {
+		deadline = b.cfg.DefaultDeadline
+	}
+	b.mu.Lock()
+	ts := b.topics[m.Topic]
+	if ts == nil {
+		ts = &topicSubs{}
+		b.topics[m.Topic] = ts
+	}
+	if ts.legacy == nil {
+		ts.legacy = make(map[*clientConn]time.Duration)
+	}
+	if _, ok := ts.legacy[c]; !ok {
+		b.subscriptionsGauge.Add(1)
+	}
+	ts.legacy[c] = deadline
+	b.markSubsDirtyLocked(m.Topic)
+	// Legacy subscribes flush synchronously: the historical contract is
+	// that the subscription is delivery-visible when Subscribe returns.
+	b.flushSubsLocked()
+	b.mu.Unlock()
+	b.logf("client %q subscribed to topic %d (deadline %v)", c.name, m.Topic, deadline)
+	b.ctrl.kickCtrl()
+}
+
+// unsubscribeLocal removes one legacy client's subscription; when it was
+// the topic's last local subscriber, the next flood withdraws the topic
+// from this broker's membership.
+func (b *Broker) unsubscribeLocal(c *clientConn, m *wire.Unsubscribe) {
+	b.mu.Lock()
+	if ts := b.topics[m.Topic]; ts != nil {
+		if _, ok := ts.legacy[c]; ok {
+			delete(ts.legacy, c)
+			b.subscriptionsGauge.Add(-1)
+			if !ts.occupied() {
+				delete(b.topics, m.Topic)
+			}
+			b.markSubsDirtyLocked(m.Topic)
+		}
+	}
+	b.flushSubsLocked()
+	b.mu.Unlock()
+	b.logf("client %q unsubscribed from topic %d", c.name, m.Topic)
+	b.ctrl.kickCtrl()
 }
 
 // sessionHello upgrades a client connection to a multiplexed session.

@@ -171,9 +171,7 @@ func TestOverlayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
-		b0.mu.Lock()
-		defer b0.mu.Unlock()
-		return len(b0.sendingListLocked(1, 1)) > 0
+		return len(ctrlList(b0, 1, 1)) > 0
 	})
 	pub, err := Dial(lnA.Addr().String(), "pub")
 	if err != nil {

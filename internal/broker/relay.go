@@ -8,21 +8,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Relay-plane link aggregation: the engine's decisions are untouched, but
-// the wire between batch-capable brokers gets cheaper in both directions.
+// Relay-plane link aggregation, the one relay framing between brokers: the
+// engine's decisions are untouched, but the wire gets cheaper in both
+// directions.
 //
 //   - Outbound DATA: the writer pipeline packs consecutive wire.Data
 //     messages bound for one neighbor into a single wire.DataBatch frame
 //     with delta-compressed headers (see runWriter).
 //   - Hop-by-hop ACKs: instead of answering every received DATA with its
-//     own Ack frame, the receiver coalesces pending frame IDs per neighbor
-//     and flushes them as one AckBatch — when Config.AckBatchSize are
-//     pending, when Config.AckFlushInterval expires, or piggybacked on any
-//     writer flush that is happening anyway.
+//     own frame, the receiver coalesces pending frame IDs per neighbor and
+//     flushes them as one AckBatch — when Config.AckBatchSize are pending,
+//     when Config.AckFlushInterval expires, or piggybacked on any writer
+//     flush that is happening anyway.
 //
-// Both directions are negotiated per link through wire.CapRelayBatch in the
-// Hello exchange: a peer that never advertised the capability keeps the
-// legacy one-frame-per-packet, one-ack-per-frame protocol, bit for bit.
 // Coalescing is safe because custody is frame-level: the flush interval
 // sits far inside the sender's ACK timeout (2*alpha + AckGuard), and a
 // retransmission triggered by an unlucky flush is absorbed by the
@@ -33,49 +31,18 @@ const (
 	// dataBatchMaxFrames caps how many Data frames one DataBatch carries;
 	// a writer flush emits several batches when more are queued.
 	dataBatchMaxFrames = 64
-	// legacyAckFrameBytes is the encoded size of a legacy Ack frame
+	// legacyAckFrameBytes is the encoded size of one ACK as its own frame
 	// (4-byte length + type + 8-byte frame ID) — the RelayBytesSaved
 	// reference cost per coalesced ACK.
 	legacyAckFrameBytes = 13
 )
 
-// legacyDataBytes is the encoded size of d as a standalone legacy Data
-// frame: 4-byte length + type byte, 40 bytes of fixed header fields, two
-// 2-byte node counts plus 4 bytes per node, 4-byte payload length plus the
-// payload — the RelayBytesSaved reference cost per batched DATA.
+// legacyDataBytes is the encoded size of d as a standalone Data frame:
+// 4-byte length + type byte, 40 bytes of fixed header fields, two 2-byte
+// node counts plus 4 bytes per node, 4-byte payload length plus the payload
+// — the RelayBytesSaved reference cost per batched DATA.
 func legacyDataBytes(d *wire.Data) int {
 	return 53 + 4*(len(d.Dests)+len(d.Path)) + len(d.Payload)
-}
-
-// helloName is the Name field of this broker's Hello to a neighbor: a
-// label plus the capability tokens this configuration supports.
-func (b *Broker) helloName() string {
-	name := "broker"
-	if !b.cfg.DisableRelayBatch {
-		name = wire.AddCap(name, wire.CapRelayBatch)
-	}
-	if !b.cfg.DisableLinkState {
-		name = wire.AddCap(name, wire.CapLinkState)
-	}
-	return name
-}
-
-// batchTo reports whether relay frames to this neighbor may use the batch
-// framing: aggregation enabled locally and the current peer advertised the
-// capability. Nil-safe so client writer pipelines can ask too.
-func (nc *neighborConn) batchTo(b *Broker) bool {
-	return nc != nil && !b.cfg.DisableRelayBatch && nc.peerBatch.Load()
-}
-
-// ackData acknowledges one received DATA frame hop-by-hop: immediately
-// with a legacy Ack frame, or — when the link negotiated relay batching —
-// through the neighbor's ACK coalescer.
-func (b *Broker) ackData(nc *neighborConn, frameID uint64) {
-	if !nc.batchTo(b) {
-		_ = nc.send(&wire.Ack{FrameID: frameID})
-		return
-	}
-	nc.queueAck(b, frameID)
 }
 
 // queueAck adds one frame ID to the neighbor's pending coalesced ACKs. The
@@ -120,23 +87,18 @@ func (nc *neighborConn) kickWriter() {
 	}
 }
 
-// resetRelay clears the per-link aggregation state when a connection is
-// replaced or closed: the next peer may be legacy, so pending coalesced
-// ACKs must not leak onto its stream (the peer retransmits unACKed frames
-// and the receiver's frame dedup absorbs the duplicates) and the
-// capability is re-learned from its Hello.
+// resetRelay clears the per-link state when a connection is replaced or
+// closed: pending coalesced ACKs must not leak onto the next connection
+// (the peer retransmits unACKed frames and the receiver's frame dedup
+// absorbs the duplicates), and probe/ACK samples from the old connection
+// must not leak into the new one's estimates.
 func (nc *neighborConn) resetRelay() {
-	nc.peerBatch.Store(false)
 	nc.ackMu.Lock()
 	nc.pendingAcks = nc.pendingAcks[:0]
 	if nc.ackFlushTimer != nil {
 		nc.ackFlushTimer.Stop()
 	}
 	nc.ackMu.Unlock()
-	// Control-plane per-connection state resets with the link too: the next
-	// peer re-negotiates wire.CapLinkState, and probe/ACK samples from the
-	// old connection must not leak into the new one's estimates.
-	nc.peerLinkState.Store(false)
 	nc.mu.Lock()
 	nc.probeTok = 0
 	clear(nc.dataSend)
@@ -165,7 +127,8 @@ func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
 // pipelines: the producer takes a struct from the pool, the writer returns
 // it after encoding (releaseMsg), and a failed send returns it on the spot.
 // Each pooled message has exactly one owner at all times; messages shared
-// across writers (the per-topic legacy *wire.Deliver) are never pooled.
+// across writers (the per-topic legacy *wire.Deliver, link-state floods)
+// are never pooled.
 var (
 	muxDeliverPool = sync.Pool{New: func() any { return new(wire.MuxDeliver) }}
 	dataFramePool  = sync.Pool{New: func() any { return new(wire.Data) }}

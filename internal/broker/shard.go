@@ -396,26 +396,15 @@ func (sh shardShell) Send(f *algo2.Frame) {
 		b.logf("send frame %d to %d: %v", f.ID, f.To, err)
 		return
 	}
-	if b.ctrl != nil {
-		// Sample the send time so the returning hop-by-hop ACK measures
-		// alpha from real traffic (bounded; see noteDataSend).
-		nc.noteDataSend(f.ID, time.Now())
-	}
+	// Sample the send time so the returning hop-by-hop ACK measures alpha
+	// from real traffic (bounded; see noteDataSend).
+	nc.noteDataSend(f.ID, time.Now())
 }
 
 // SendingList exposes the distributed Algorithm-1 state: the link-state
-// control plane's table (controlplane.go) when it has converged a list for
-// the pair, else the advert-plane list (rebuilt copy-on-write by
-// recomputeAndAdvertise). The fallback covers the gossip warm-up window
-// and overlays where link state is disabled or peers are legacy.
+// control plane's Theorem-1 list for the pair (controlplane.go).
 func (sh shardShell) SendingList(topic int32, dest int) []int {
-	key := routeKey{topic: topic, sub: int32(dest)}
-	if cs := sh.s.b.ctrlSnap.Load(); cs != nil {
-		if l := cs.lists[key]; len(l) > 0 {
-			return l
-		}
-	}
-	return sh.s.b.routesSnap.Load().lists[key]
+	return sh.s.b.ctrlSnap.Load().lists[routeKey{topic: topic, sub: int32(dest)}]
 }
 
 // LinkUp skips neighbors without a live connection.

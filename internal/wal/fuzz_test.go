@@ -42,7 +42,7 @@ func FuzzWAL(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(record(&wire.Ack{FrameID: 9})) // valid frame, wrong record type
+	f.Add(record(&wire.Ping{Token: 9})) // valid frame, wrong record type
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -22,9 +22,6 @@ func allTypesCorpus() []Message {
 			Payload: []byte("position report"),
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
-		&Ack{FrameID: 12345678901234},
-		&Advert{Topic: 2, Sub: 8, D: 75 * time.Millisecond, R: 0.987, Deadline: time.Second},
-		&Advert{Gone: true},
 		&Ping{Token: 555},
 		&Pong{Token: 556},
 		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
@@ -78,6 +75,9 @@ func allTypesCorpus() []Message {
 			{To: 9, Alpha: 40 * time.Millisecond, Gamma: 0}, // withdrawal
 		}},
 		&LinkState{Origin: 0, Epoch: 1}, // zero records: withdraws all links
+		&LinkState{Origin: 2, Epoch: 18, Links: []LinkRecord{
+			{To: 1, Alpha: 12 * time.Millisecond, Gamma: 0.97},
+		}, Subs: []SubRecord{{Topic: 4, Deadline: 200 * time.Millisecond}, {Topic: 9, Deadline: time.Second}}},
 		&Probe{Token: 0xDEAD},
 		&Probe{Token: 0xDEAD, Reply: true},
 	}
@@ -102,7 +102,7 @@ func TestAppendFrameMatchesWrite(t *testing.T) {
 // TestAppendFrameAppends verifies AppendFrame extends dst in place so
 // multiple frames coalesce into one valid stream.
 func TestAppendFrameAppends(t *testing.T) {
-	msgs := []Message{&Ping{Token: 1}, &Ack{FrameID: 2}, &Hello{BrokerID: 3, Name: "x"}}
+	msgs := []Message{&Ping{Token: 1}, &Pong{Token: 2}, &Hello{BrokerID: 3, Name: "x"}}
 	var stream []byte
 	for _, m := range msgs {
 		stream = AppendFrame(stream, m)
@@ -234,7 +234,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		})
 	}
 	t.Run("trailing bytes", func(t *testing.T) {
-		raw := AppendFrame(nil, &Ack{FrameID: 9})
+		raw := AppendFrame(nil, &Pong{Token: 9})
 		raw = append(raw, 0xAA)
 		raw[3]++
 		rd := NewReader(bytes.NewReader(raw))
@@ -287,5 +287,34 @@ func TestWriteRejectsOversizedFrame(t *testing.T) {
 	msg := &Publish{Payload: make([]byte, MaxFrameSize+1)}
 	if err := Write(io.Discard, msg); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestLinkStateMembershipRoundTrip pins the membership records a LinkState
+// carries after its links: they survive encode and decode, and a recycled
+// LinkState shrinks its Subs to the next flood's (a withdrawn topic must
+// not linger from the previous frame).
+func TestLinkStateMembershipRoundTrip(t *testing.T) {
+	full := &LinkState{Origin: 5, Epoch: 40,
+		Links: []LinkRecord{{To: 4, Alpha: 9 * time.Millisecond, Gamma: 0.95}},
+		Subs: []SubRecord{
+			{Topic: 1, Deadline: 50 * time.Millisecond},
+			{Topic: 7, Deadline: time.Second},
+			{Topic: -3, Deadline: 0},
+		},
+	}
+	left := &LinkState{Origin: 5, Epoch: 41,
+		Links: []LinkRecord{{To: 4, Alpha: 9 * time.Millisecond, Gamma: 0.95}},
+		Subs:  []SubRecord{{Topic: 7, Deadline: time.Second}},
+	}
+	rd := NewReader(bytes.NewReader(AppendFrame(AppendFrame(nil, full), left)))
+	for _, want := range []*LinkState{full, left} {
+		got, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("round trip mismatch:\n sent %#v\n got  %#v", want, got)
+		}
 	}
 }

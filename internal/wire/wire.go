@@ -16,12 +16,12 @@
 // varints (count, then IDs), because that list is the dominant per-delivery
 // wire cost at high fan-in and the IDs are small by construction.
 //
-// The codec offers two tiers. Write and Read are the convenience API: one
-// frame per call, freshly allocated messages, safe to retain. The zero-
-// allocation tier underneath is what the broker data plane uses: AppendFrame
-// encodes into a caller-supplied byte slice (grow-once, reuse forever), and
-// Reader decodes a frame stream into per-reader message structs whose
-// buffers are recycled across frames.
+// There is one encoder and one decoder. AppendFrame encodes into a
+// caller-supplied byte slice (grow-once, reuse forever); Write wraps it for
+// one-off frames. Reader decodes a frame stream into per-reader message
+// structs whose buffers are recycled across frames; Read is a fresh Reader
+// decoding one frame, for callers that keep the message (handshakes, WAL
+// records).
 package wire
 
 import (
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"time"
 )
@@ -42,13 +41,14 @@ type Type uint8
 const (
 	// TypeHello introduces a broker (or client) after dialing.
 	TypeHello Type = iota + 1
-	// TypeData carries one routed packet copy between brokers.
+	// TypeData is one routed packet copy: the entry type of TypeDataBatch
+	// and the body of TypeWalCustody.
 	TypeData
-	// TypeAck acknowledges a TypeData frame hop-by-hop.
-	TypeAck
-	// TypeAdvert shares <d, r> parameters for one (topic, subscriber
-	// broker) pair with a neighbor (Algorithm 1's parameter exchange).
-	TypeAdvert
+	// Tags 3 and 4 belonged to the retired per-frame ACK and the <d, r>
+	// advert; they stay reserved so later tags (and WAL records) keep their
+	// values.
+	_
+	_
 	// TypePing and TypePong measure link round-trip times for alpha.
 	TypePing
 	TypePong
@@ -75,23 +75,20 @@ const (
 	// session at once (one frame per (topic, session) instead of one per
 	// subscriber).
 	TypeMuxDeliver
-	// TypeAckBatch acknowledges many TypeData frames in one wire frame
-	// (relay-plane ACK coalescing). Only sent to peers that advertised
-	// CapRelayBatch in their Hello.
+	// TypeAckBatch acknowledges many TypeData frames hop-by-hop in one wire
+	// frame (relay-plane ACK coalescing).
 	TypeAckBatch
 	// TypeDataBatch packs several same-neighbor TypeData frames into one
-	// wire frame with delta-compressed headers and node lists. Only sent to
-	// peers that advertised CapRelayBatch in their Hello.
+	// wire frame with delta-compressed headers and node lists — the one
+	// relay framing between brokers.
 	TypeDataBatch
 	// TypeLinkState floods one broker's measured per-link <alpha, gamma>
-	// estimates through the overlay (the live control plane's Algorithm-1
-	// monitoring gossip). Only sent to peers that advertised CapLinkState
-	// in their Hello.
+	// estimates and its subscription membership through the overlay (the
+	// live control plane's Algorithm-1 gossip).
 	TypeLinkState
 	// TypeProbe measures delay and delivery on idle links: the receiver
 	// echoes the frame with Reply set, feeding the sender's alpha/gamma
-	// estimates when no data traffic exercises the link. Only sent to peers
-	// that advertised CapLinkState in their Hello.
+	// estimates when no data traffic exercises the link.
 	TypeProbe
 	// TypeWalCustody is a custody-taken record in a broker's write-ahead
 	// log: the full Data frame the broker accepted responsibility for. It
@@ -111,60 +108,42 @@ const (
 	TypeWalMeta
 )
 
+// types describes each wire tag: its name and a constructor for its
+// message struct. An empty entry is an unknown or retired tag.
+var types = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeHello:        {"HELLO", func() Message { return new(Hello) }},
+	TypeData:         {"DATA", func() Message { return new(Data) }},
+	TypePing:         {"PING", func() Message { return new(Ping) }},
+	TypePong:         {"PONG", func() Message { return new(Pong) }},
+	TypeSubscribe:    {"SUBSCRIBE", func() Message { return new(Subscribe) }},
+	TypeUnsubscribe:  {"UNSUBSCRIBE", func() Message { return new(Unsubscribe) }},
+	TypePublish:      {"PUBLISH", func() Message { return new(Publish) }},
+	TypeDeliver:      {"DELIVER", func() Message { return new(Deliver) }},
+	TypeStatsRequest: {"STATS_REQUEST", func() Message { return new(StatsRequest) }},
+	TypeStatsReply:   {"STATS_REPLY", func() Message { return new(StatsReply) }},
+	TypeSessionHello: {"SESSION_HELLO", func() Message { return new(SessionHello) }},
+	TypeSessionSub:   {"SESSION_SUB", func() Message { return new(SessionSub) }},
+	TypeSessionUnsub: {"SESSION_UNSUB", func() Message { return new(SessionUnsub) }},
+	TypeMuxDeliver:   {"MUX_DELIVER", func() Message { return new(MuxDeliver) }},
+	TypeAckBatch:     {"ACK_BATCH", func() Message { return new(AckBatch) }},
+	TypeDataBatch:    {"DATA_BATCH", func() Message { return new(DataBatch) }},
+	TypeLinkState:    {"LINK_STATE", func() Message { return new(LinkState) }},
+	TypeProbe:        {"PROBE", func() Message { return new(Probe) }},
+	TypeWalCustody:   {"WAL_CUSTODY", func() Message { return new(WalCustody) }},
+	TypeWalClear:     {"WAL_CLEAR", func() Message { return new(WalClear) }},
+	TypeWalDeliver:   {"WAL_DELIVER", func() Message { return new(WalDeliver) }},
+	TypeWalMeta:      {"WAL_META", func() Message { return new(WalMeta) }},
+}
+
 // String returns the message type name.
 func (t Type) String() string {
-	switch t {
-	case TypeHello:
-		return "HELLO"
-	case TypeData:
-		return "DATA"
-	case TypeAck:
-		return "ACK"
-	case TypeAdvert:
-		return "ADVERT"
-	case TypePing:
-		return "PING"
-	case TypePong:
-		return "PONG"
-	case TypeSubscribe:
-		return "SUBSCRIBE"
-	case TypeUnsubscribe:
-		return "UNSUBSCRIBE"
-	case TypePublish:
-		return "PUBLISH"
-	case TypeDeliver:
-		return "DELIVER"
-	case TypeStatsRequest:
-		return "STATS_REQUEST"
-	case TypeStatsReply:
-		return "STATS_REPLY"
-	case TypeSessionHello:
-		return "SESSION_HELLO"
-	case TypeSessionSub:
-		return "SESSION_SUB"
-	case TypeSessionUnsub:
-		return "SESSION_UNSUB"
-	case TypeMuxDeliver:
-		return "MUX_DELIVER"
-	case TypeAckBatch:
-		return "ACK_BATCH"
-	case TypeDataBatch:
-		return "DATA_BATCH"
-	case TypeLinkState:
-		return "LINK_STATE"
-	case TypeProbe:
-		return "PROBE"
-	case TypeWalCustody:
-		return "WAL_CUSTODY"
-	case TypeWalClear:
-		return "WAL_CLEAR"
-	case TypeWalDeliver:
-		return "WAL_DELIVER"
-	case TypeWalMeta:
-		return "WAL_META"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
+	if int(t) < len(types) && types[t].name != "" {
+		return types[t].name
 	}
+	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
 // MaxFrameSize bounds a single frame; larger frames are rejected to protect
@@ -191,41 +170,7 @@ type Hello struct {
 	// BrokerID is the sender's broker ID, or -1 for clients.
 	BrokerID int32
 	// Name is a free-form peer name (client identifier, broker label).
-	// Brokers additionally carry space-separated capability tokens here
-	// (see CapRelayBatch): the field predates capabilities, so reusing it
-	// keeps the Hello wire format byte-identical for legacy peers.
 	Name string
-}
-
-// CapRelayBatch is the Hello.Name capability token advertising that the
-// sender understands AckBatch and DataBatch frames. A broker never emits
-// either frame type to a peer that did not advertise the token — an
-// unknown frame type errors a legacy reader and drops the connection.
-const CapRelayBatch = "cap:relay-batch"
-
-// CapLinkState is the Hello.Name capability token advertising that the
-// sender runs the live Algorithm-1 control plane: it understands LinkState
-// and Probe frames. A broker never emits either frame type to a peer that
-// did not advertise the token, so legacy brokers keep running on their
-// advert-provisioned tables with a byte-identical frame stream.
-const CapLinkState = "cap:link-state"
-
-// AddCap appends a capability token to a Hello name.
-func AddCap(name, token string) string {
-	if name == "" {
-		return token
-	}
-	return name + " " + token
-}
-
-// HasCap reports whether a Hello name carries a capability token.
-func HasCap(name, token string) bool {
-	for _, f := range strings.Fields(name) {
-		if f == token {
-			return true
-		}
-	}
-	return false
 }
 
 // Data carries one routed copy of a published packet.
@@ -241,16 +186,11 @@ type Data struct {
 	Payload     []byte
 }
 
-// Ack acknowledges a Data frame hop-by-hop.
-type Ack struct {
-	FrameID uint64
-}
-
 // AckBatch acknowledges many Data frames in one wire frame. Frame IDs are
 // encoded as a uvarint count followed by zigzag-varint deltas between
 // consecutive IDs (the first delta is from zero); senders sort the IDs
 // ascending, and consecutive frame IDs from one shard differ by one, so a
-// typical entry costs 1–2 bytes against Ack's fixed 13-byte frame.
+// typical entry costs 1–2 bytes against a 13-byte frame per ACK.
 type AckBatch struct {
 	FrameIDs []uint64
 }
@@ -265,20 +205,6 @@ type DataBatch struct {
 	Frames []Data
 }
 
-// Advert shares one (topic, subscriber broker) <d, r> estimate.
-type Advert struct {
-	Topic int32
-	Sub   int32 // subscriber broker ID
-	D     time.Duration
-	R     float64
-	// Deadline is the subscriber's QoS delay requirement, propagated so
-	// upstream brokers can run the Algorithm-1 admission filter.
-	Deadline time.Duration
-	// Gone marks a withdrawn route (subscriber unsubscribed or became
-	// unreachable); receivers must treat the pair as unreachable.
-	Gone bool
-}
-
 // LinkRecord is one directed overlay link's monitored estimate inside a
 // LinkState flood: the origin broker's single-transmission expected delay
 // (alpha, from ping RTTs and ACK timing) and delivery ratio (gamma, from
@@ -290,18 +216,29 @@ type LinkRecord struct {
 	Gamma float64
 }
 
-// LinkState floods one broker's full measured neighbor set through the
-// overlay. Origin stamps the measuring broker; Epoch is origin-local and
-// strictly increasing (receivers drop stale or replayed floods and re-flood
-// newer ones to their other capable neighbors), so every broker converges
-// on each origin's latest record set regardless of gossip path. Receivers
-// diff the records against the origin's previous set — the deltas are
-// exactly the changed-link sets the incremental Algorithm-1 rebuild keys
-// on, so a flood that changes nothing costs no table work.
+// SubRecord is one topic the LinkState origin has local subscribers for,
+// with the loosest QoS delay requirement among them — the deadline
+// Algorithm 1's admission filter uses for the (topic, origin) pair.
+type SubRecord struct {
+	Topic    int32
+	Deadline time.Duration
+}
+
+// LinkState floods one broker's full measured neighbor set and its
+// subscription membership through the overlay. Origin stamps the measuring
+// broker; Epoch is origin-local and strictly increasing (receivers drop
+// stale or replayed floods and re-flood newer ones to their other
+// neighbors), so every broker converges on each origin's latest record set
+// regardless of gossip path. Receivers diff the records against the
+// origin's previous set — the deltas are exactly the changed-link sets the
+// incremental Algorithm-1 rebuild keys on, so a flood that changes nothing
+// costs no table work. Subs is the origin's complete membership: a topic
+// missing from it has no subscriber at the origin.
 type LinkState struct {
 	Origin int32
 	Epoch  uint64
 	Links  []LinkRecord
+	Subs   []SubRecord
 }
 
 // Probe measures an idle link: the sender stamps Token, the receiver
@@ -418,9 +355,6 @@ type LinkStat struct {
 
 // CtrlStat reports the live Algorithm-1 control plane's state.
 type CtrlStat struct {
-	// Enabled is false when the broker runs without CapLinkState (legacy
-	// provisioned-table mode).
-	Enabled bool
 	// Epoch is the broker's own flood epoch (the last LinkState it
 	// originated).
 	Epoch uint64
@@ -528,8 +462,9 @@ type StatsReply struct {
 	// (subscriber, topic) pairs).
 	Sessions      uint64
 	Subscriptions uint64
-	// Relay-aggregation counters: AckBatch frames sent, legacy Acks they
-	// replaced, and encoded bytes saved versus the legacy relay framing.
+	// Relay-aggregation counters: AckBatch frames sent, the per-frame ACKs
+	// they stand in for, and encoded bytes saved versus one frame per DATA
+	// and per ACK.
 	AckBatches         uint64
 	AckFramesCoalesced uint64
 	RelayBytesSaved    uint64
@@ -545,39 +480,9 @@ type StatsReply struct {
 	Wal WalStat
 }
 
-// interface conformance
-var (
-	_ Message = (*Hello)(nil)
-	_ Message = (*Data)(nil)
-	_ Message = (*Ack)(nil)
-	_ Message = (*Advert)(nil)
-	_ Message = (*Ping)(nil)
-	_ Message = (*Pong)(nil)
-	_ Message = (*Subscribe)(nil)
-	_ Message = (*Unsubscribe)(nil)
-	_ Message = (*Publish)(nil)
-	_ Message = (*Deliver)(nil)
-	_ Message = (*StatsRequest)(nil)
-	_ Message = (*StatsReply)(nil)
-	_ Message = (*SessionHello)(nil)
-	_ Message = (*SessionSub)(nil)
-	_ Message = (*SessionUnsub)(nil)
-	_ Message = (*MuxDeliver)(nil)
-	_ Message = (*AckBatch)(nil)
-	_ Message = (*DataBatch)(nil)
-	_ Message = (*LinkState)(nil)
-	_ Message = (*Probe)(nil)
-	_ Message = (*WalCustody)(nil)
-	_ Message = (*WalClear)(nil)
-	_ Message = (*WalDeliver)(nil)
-	_ Message = (*WalMeta)(nil)
-)
-
 // Type implementations.
 func (*Hello) Type() Type        { return TypeHello }
 func (*Data) Type() Type         { return TypeData }
-func (*Ack) Type() Type          { return TypeAck }
-func (*Advert) Type() Type       { return TypeAdvert }
 func (*Ping) Type() Type         { return TypePing }
 func (*Pong) Type() Type         { return TypePong }
 func (*Subscribe) Type() Type    { return TypeSubscribe }
@@ -651,43 +556,17 @@ func Write(w io.Writer, msg Message) error {
 	return nil
 }
 
-// Read reads one frame from r and decodes it into a freshly allocated
-// message that the caller may retain. Connection read loops that care about
-// allocation pressure should use a Reader instead.
+// Read decodes one frame from r with a fresh Reader, so the caller owns
+// the returned message. It reads exactly one frame, so a connection can
+// switch to a long-lived Reader after a handshake read with it.
 func Read(r io.Reader) (Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	size := binary.BigEndian.Uint32(header[:])
-	if size > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	if size == 0 {
-		return nil, ErrTruncated
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
-	}
-	msg, err := newMessage(Type(body[0]))
-	if err != nil {
-		return nil, err
-	}
-	rd := &reader{buf: body[1:]}
-	if err := msg.decode(rd); err != nil {
-		return nil, err
-	}
-	if len(rd.buf) != 0 {
-		return nil, fmt.Errorf("wire: %v has %d trailing bytes", msg.Type(), len(rd.buf))
-	}
-	return msg, nil
+	return NewReader(r).Next()
 }
 
 // Reader decodes a frame stream with buffer and message reuse: the body
 // buffer grows once to the stream's working set, and each message type has
-// one struct per Reader that is recycled across frames. After warm-up,
-// Next decodes without allocating.
+// one struct per Reader, allocated on first use and recycled across frames.
+// After warm-up, Next decodes without allocating.
 //
 // The returned Message — including every slice it references (Payload,
 // Dests, Path, Neighbors, Routes) — is owned by the Reader and is only
@@ -698,36 +577,19 @@ type Reader struct {
 	head [4]byte
 	body []byte
 	dec  reader
-
-	hello        Hello
-	data         Data
-	ack          Ack
-	advert       Advert
-	ping         Ping
-	pong         Pong
-	subscribe    Subscribe
-	unsubscribe  Unsubscribe
-	publish      Publish
-	deliver      Deliver
-	statsRequest StatsRequest
-	statsReply   StatsReply
-	sessionHello SessionHello
-	sessionSub   SessionSub
-	sessionUnsub SessionUnsub
-	muxDeliver   MuxDeliver
-	ackBatch     AckBatch
-	dataBatch    DataBatch
-	linkState    LinkState
-	probe        Probe
-	walCustody   WalCustody
-	walClear     WalClear
-	walDeliver   WalDeliver
-	walMeta      WalMeta
+	// msgs holds the recycled struct of each type seen so far, backed by
+	// first until a second type appears. A stream carries a handful of
+	// types, so a short list searched in order keeps a fresh Reader (Read)
+	// small, where a table over every tag would not.
+	msgs  []Message
+	first [1]Message
 }
 
 // NewReader returns a Reader decoding frames from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
+	rd := &Reader{r: r}
+	rd.msgs = rd.first[:0]
+	return rd
 }
 
 // Next reads and decodes one frame. See the Reader doc for the ownership
@@ -751,10 +613,11 @@ func (rd *Reader) Next() (Message, error) {
 	if _, err := io.ReadFull(rd.r, body); err != nil {
 		return nil, fmt.Errorf("wire: read body: %w", err)
 	}
-	msg := rd.message(Type(body[0]))
-	if msg == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, body[0])
+	t := Type(body[0])
+	if int(t) >= len(types) || types[t].new == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
+	msg := rd.message(t)
 	rd.dec = reader{buf: body[1:]}
 	if err := msg.decode(&rd.dec); err != nil {
 		return nil, err
@@ -765,117 +628,17 @@ func (rd *Reader) Next() (Message, error) {
 	return msg, nil
 }
 
-// message returns the Reader's recycled struct for a wire tag, or nil for
-// unknown tags.
+// message returns the Reader's recycled struct for tag t, allocating it on
+// first use.
 func (rd *Reader) message(t Type) Message {
-	switch t {
-	case TypeHello:
-		return &rd.hello
-	case TypeData:
-		return &rd.data
-	case TypeAck:
-		return &rd.ack
-	case TypeAdvert:
-		return &rd.advert
-	case TypePing:
-		return &rd.ping
-	case TypePong:
-		return &rd.pong
-	case TypeSubscribe:
-		return &rd.subscribe
-	case TypeUnsubscribe:
-		return &rd.unsubscribe
-	case TypePublish:
-		return &rd.publish
-	case TypeDeliver:
-		return &rd.deliver
-	case TypeStatsRequest:
-		return &rd.statsRequest
-	case TypeStatsReply:
-		return &rd.statsReply
-	case TypeSessionHello:
-		return &rd.sessionHello
-	case TypeSessionSub:
-		return &rd.sessionSub
-	case TypeSessionUnsub:
-		return &rd.sessionUnsub
-	case TypeMuxDeliver:
-		return &rd.muxDeliver
-	case TypeAckBatch:
-		return &rd.ackBatch
-	case TypeDataBatch:
-		return &rd.dataBatch
-	case TypeLinkState:
-		return &rd.linkState
-	case TypeProbe:
-		return &rd.probe
-	case TypeWalCustody:
-		return &rd.walCustody
-	case TypeWalClear:
-		return &rd.walClear
-	case TypeWalDeliver:
-		return &rd.walDeliver
-	case TypeWalMeta:
-		return &rd.walMeta
-	default:
-		return nil
+	for _, m := range rd.msgs {
+		if m.Type() == t {
+			return m
+		}
 	}
-}
-
-// newMessage allocates the message struct for a wire tag.
-func newMessage(t Type) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeData:
-		return &Data{}, nil
-	case TypeAck:
-		return &Ack{}, nil
-	case TypeAdvert:
-		return &Advert{}, nil
-	case TypePing:
-		return &Ping{}, nil
-	case TypePong:
-		return &Pong{}, nil
-	case TypeSubscribe:
-		return &Subscribe{}, nil
-	case TypeUnsubscribe:
-		return &Unsubscribe{}, nil
-	case TypePublish:
-		return &Publish{}, nil
-	case TypeDeliver:
-		return &Deliver{}, nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsReply:
-		return &StatsReply{}, nil
-	case TypeSessionHello:
-		return &SessionHello{}, nil
-	case TypeSessionSub:
-		return &SessionSub{}, nil
-	case TypeSessionUnsub:
-		return &SessionUnsub{}, nil
-	case TypeMuxDeliver:
-		return &MuxDeliver{}, nil
-	case TypeAckBatch:
-		return &AckBatch{}, nil
-	case TypeDataBatch:
-		return &DataBatch{}, nil
-	case TypeLinkState:
-		return &LinkState{}, nil
-	case TypeProbe:
-		return &Probe{}, nil
-	case TypeWalCustody:
-		return &WalCustody{}, nil
-	case TypeWalClear:
-		return &WalClear{}, nil
-	case TypeWalDeliver:
-		return &WalDeliver{}, nil
-	case TypeWalMeta:
-		return &WalMeta{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
-	}
+	m := types[t].new()
+	rd.msgs = append(rd.msgs, m)
+	return m
 }
 
 // --- primitive encoders ---
@@ -1103,9 +866,8 @@ func (r *reader) subIDsInto(dst []uint32) ([]uint32, error) {
 
 // bytesInto decodes a length-prefixed blob into dst's storage (growing it
 // only when the capacity is too small) and returns the filled slice. A
-// zero-length blob yields dst truncated to zero — nil stays nil, so the
-// fresh-struct Read path keeps its historical "empty decodes to nil"
-// behavior.
+// zero-length blob yields dst truncated to zero — nil stays nil, so a
+// fresh struct decodes an empty blob to nil.
 func (r *reader) bytesInto(dst []byte) ([]byte, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -1238,46 +1000,6 @@ func (m *WalMeta) decode(r *reader) (err error) {
 	return err
 }
 
-func (m *Ack) appendBody(dst []byte) []byte { return appendU64(dst, m.FrameID) }
-
-func (m *Ack) decode(r *reader) (err error) {
-	m.FrameID, err = r.u64()
-	return err
-}
-
-func (m *Advert) appendBody(dst []byte) []byte {
-	dst = appendI32(dst, m.Topic)
-	dst = appendI32(dst, m.Sub)
-	dst = appendI64(dst, int64(m.D))
-	dst = appendF64(dst, m.R)
-	dst = appendI64(dst, int64(m.Deadline))
-	return appendBool(dst, m.Gone)
-}
-
-func (m *Advert) decode(r *reader) (err error) {
-	if m.Topic, err = r.i32(); err != nil {
-		return err
-	}
-	if m.Sub, err = r.i32(); err != nil {
-		return err
-	}
-	d, err := r.i64()
-	if err != nil {
-		return err
-	}
-	m.D = time.Duration(d)
-	if m.R, err = r.f64(); err != nil {
-		return err
-	}
-	dl, err := r.i64()
-	if err != nil {
-		return err
-	}
-	m.Deadline = time.Duration(dl)
-	m.Gone, err = r.boolean()
-	return err
-}
-
 func (m *Ping) appendBody(dst []byte) []byte { return appendU64(dst, m.Token) }
 
 func (m *Ping) decode(r *reader) (err error) {
@@ -1387,7 +1109,6 @@ func (m *StatsReply) appendBody(dst []byte) []byte {
 		dst = appendF64(dst, l.Gamma)
 		dst = appendU64(dst, l.Epoch)
 	}
-	dst = appendBool(dst, m.Ctrl.Enabled)
 	dst = appendU64(dst, m.Ctrl.Epoch)
 	dst = appendU64(dst, m.Ctrl.Version)
 	dst = appendU64(dst, m.Ctrl.Rebuilds)
@@ -1545,9 +1266,6 @@ func (m *StatsReply) decode(r *reader) (err error) {
 			return err
 		}
 		m.Links = append(m.Links, l)
-	}
-	if m.Ctrl.Enabled, err = r.boolean(); err != nil {
-		return err
 	}
 	if m.Ctrl.Epoch, err = r.u64(); err != nil {
 		return err
@@ -1841,10 +1559,14 @@ func (m *DataBatch) decode(r *reader) error {
 }
 
 // linkStateMinEntry is the smallest possible encoded LinkRecord: a one-byte
-// To varint, a one-byte alpha varint and the fixed eight-byte gamma.
-// Bounds-checking the claimed count against it (DATA_BATCH's division form)
-// keeps a hostile count from forcing a giant Links allocation.
-const linkStateMinEntry = 10
+// To varint, a one-byte alpha varint and the fixed eight-byte gamma;
+// subRecordMinEntry is the smallest SubRecord, two one-byte varints.
+// Bounds-checking each claimed count against them (DATA_BATCH's division
+// form) keeps a hostile count from forcing a giant allocation.
+const (
+	linkStateMinEntry = 10
+	subRecordMinEntry = 2
+)
 
 func (m *LinkState) appendBody(dst []byte) []byte {
 	dst = appendI32(dst, m.Origin)
@@ -1854,6 +1576,11 @@ func (m *LinkState) appendBody(dst []byte) []byte {
 		dst = binary.AppendVarint(dst, int64(l.To))
 		dst = binary.AppendVarint(dst, int64(l.Alpha))
 		dst = appendF64(dst, l.Gamma)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Subs)))
+	for _, sr := range m.Subs {
+		dst = binary.AppendVarint(dst, int64(sr.Topic))
+		dst = binary.AppendVarint(dst, int64(sr.Deadline))
 	}
 	return dst
 }
@@ -1894,6 +1621,32 @@ func (m *LinkState) decode(r *reader) (err error) {
 			return err
 		}
 		m.Links = append(m.Links, l)
+	}
+	// Membership follows the links; zero records means the origin has no
+	// subscribers.
+	if n, err = r.uvarint(); err != nil {
+		return err
+	}
+	if n > uint64(len(r.buf))/subRecordMinEntry {
+		return ErrTruncated
+	}
+	m.Subs = m.Subs[:0]
+	for i := uint64(0); i < n; i++ {
+		topic, err := r.varint()
+		if err != nil {
+			return err
+		}
+		if topic < math.MinInt32 || topic > math.MaxInt32 {
+			return fmt.Errorf("wire: LINK_STATE topic %d overflows int32", topic)
+		}
+		dl, err := r.varint()
+		if err != nil {
+			return err
+		}
+		if dl < 0 {
+			return fmt.Errorf("wire: LINK_STATE deadline %d is negative", dl)
+		}
+		m.Subs = append(m.Subs, SubRecord{Topic: int32(topic), Deadline: time.Duration(dl)})
 	}
 	return nil
 }

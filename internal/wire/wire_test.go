@@ -41,9 +41,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Payload:     []byte("position report"),
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
-		&Ack{FrameID: 12345678901234},
-		&Advert{Topic: 2, Sub: 8, D: 75 * time.Millisecond, R: 0.987, Gone: false},
-		&Advert{Topic: 0, Sub: 0, Gone: true},
 		&Ping{Token: 555},
 		&Pong{Token: 555},
 		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
@@ -74,7 +71,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 				{From: 5, To: 2, Alpha: 33 * time.Millisecond, Gamma: 0.5, Epoch: 12},
 			},
 			Ctrl: CtrlStat{
-				Enabled: true, Epoch: 41, Version: 19,
+				Epoch: 41, Version: 19,
 				Rebuilds: 7, Noops: 30, TablesBuilt: 21,
 				LinkStatesSent: 88, LinkStatesRecv: 90, StaleDrops: 2,
 				ProbesSent: 14, ProbeReplies: 13,
@@ -124,6 +121,11 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{To: 2, Alpha: 0, Gamma: 0}, // withdrawn link
 		}},
 		&LinkState{Origin: -1, Epoch: 0},
+		&LinkState{Origin: 6, Epoch: 9, Subs: []SubRecord{
+			{Topic: 3, Deadline: 150 * time.Millisecond},
+			{Topic: -2147483648, Deadline: 0},
+			{Topic: 2147483647, Deadline: 1<<63 - 1},
+		}},
 		&Probe{Token: 1 << 63},
 		&Probe{Token: 0, Reply: true},
 		&WalCustody{Data: Data{
@@ -152,7 +154,7 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		&Ping{Token: 1},
-		&Ack{FrameID: 2},
+		&Pong{Token: 2},
 		&Hello{BrokerID: 3, Name: "x"},
 	}
 	for _, m := range msgs {
@@ -218,7 +220,7 @@ func TestReadRejectsTruncatedBody(t *testing.T) {
 
 func TestReadRejectsTrailingGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Ack{FrameID: 9}); err != nil {
+	if err := Write(&buf, &Pong{Token: 9}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -232,8 +234,7 @@ func TestReadRejectsTrailingGarbage(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
-		TypeHello: "HELLO", TypeData: "DATA", TypeAck: "ACK",
-		TypeAdvert: "ADVERT", TypePing: "PING", TypePong: "PONG",
+		TypeHello: "HELLO", TypeData: "DATA", TypePing: "PING", TypePong: "PONG",
 		TypeSubscribe: "SUBSCRIBE", TypePublish: "PUBLISH", TypeDeliver: "DELIVER",
 		TypeSessionHello: "SESSION_HELLO", TypeSessionSub: "SESSION_SUB",
 		TypeSessionUnsub: "SESSION_UNSUB", TypeMuxDeliver: "MUX_DELIVER",

@@ -14,8 +14,8 @@
 #     (msgs/sec, deliveries/sec) over localhost, the edge-tier aggregation
 #     benchmark (bytes/delivery, frames/delivery for per-subscriber vs
 #     multiplexed delivery), and the relay-plane aggregation benchmark
-#     (bytes/packet, frames/packet across a 3-broker chain, legacy framing
-#     vs negotiated DATA_BATCH/ACK_BATCH)
+#     (bytes/packet, frames/packet across a 3-broker chain on the
+#     DATA_BATCH/ACK_BATCH framing)
 #   - BenchmarkControlPlaneEpoch (internal/algo1): one control-loop epoch
 #     through the shared incremental rebuild engine — the quiet
 #     (pointer-identity no-op) and dirty (sparse gossip delta, warm-start)
