@@ -1,15 +1,14 @@
 // Command dcrd-sub subscribes to topics on a live DCRD broker and prints
 // every delivery with its end-to-end latency and deadline verdict.
 //
-// The legacy single-topic mode uses the original per-subscriber protocol:
-//
-//	dcrd-sub -broker localhost:7002 -topic 5 -deadline 200ms
-//
-// With -topics, the edge-tier multiplexed protocol is used instead: the
-// topics are spread over -sessions mux sessions, and the broker aggregates
-// deliveries per (topic, session):
+// The topics are spread over -sessions multiplexed sessions, and the broker
+// aggregates deliveries per (topic, session):
 //
 //	dcrd-sub -broker localhost:7002 -topics 1,2,3 -sessions 2
+//
+// -topic N is shorthand for -topics N:
+//
+//	dcrd-sub -broker localhost:7002 -topic 5 -deadline 200ms
 package main
 
 import (
@@ -38,8 +37,8 @@ func run() error {
 	fs := flag.NewFlagSet("dcrd-sub", flag.ContinueOnError)
 	var (
 		addr     = fs.String("broker", "localhost:7000", "broker address")
-		topic    = fs.Int("topic", 0, "topic to subscribe to (legacy single-topic mode)")
-		topics   = fs.String("topics", "", "comma-separated topics (multiplexed session mode)")
+		topic    = fs.Int("topic", 0, "single topic to subscribe to (shorthand for -topics N)")
+		topics   = fs.String("topics", "", "comma-separated topics (overrides -topic)")
 		sessions = fs.Int("sessions", 1, "mux sessions to spread -topics over")
 		deadline = fs.Duration("deadline", 0, "QoS delay requirement (0 = broker default)")
 		name     = fs.String("name", "dcrd-sub", "client name")
@@ -47,14 +46,14 @@ func run() error {
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return err
 	}
+	list := []int32{int32(*topic)}
 	if *topics != "" {
-		list, err := parseTopics(*topics)
-		if err != nil {
+		var err error
+		if list, err = parseTopics(*topics); err != nil {
 			return err
 		}
-		return runMux(*addr, *name, list, *sessions, *deadline)
 	}
-	return runLegacy(*addr, *name, int32(*topic), *deadline)
+	return runMux(*addr, *name, list, *sessions, *deadline)
 }
 
 // parseTopics splits a comma-separated topic list ("1,2,3", blanks
@@ -76,28 +75,6 @@ func parseTopics(s string) ([]int32, error) {
 		return nil, fmt.Errorf("-topics %q holds no topics", s)
 	}
 	return out, nil
-}
-
-// runLegacy is the original single-topic subscriber, wire-compatible with
-// pre-session brokers: Hello, one Subscribe, per-subscriber Deliver frames.
-func runLegacy(addr, name string, topic int32, deadline time.Duration) error {
-	c, err := broker.Dial(addr, name)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if err := c.Subscribe(topic, deadline); err != nil {
-		return err
-	}
-	log.Printf("subscribed to topic %d at %s (deadline %v)", topic, addr, deadline)
-
-	for d := range c.Receive() {
-		printDelivery(d.Topic, d.PacketID, d.Source, d.Payload, d.Latency, 1, deadline)
-	}
-	if err := c.Err(); err != nil {
-		return fmt.Errorf("connection lost: %w", err)
-	}
-	return nil
 }
 
 // runMux spreads the topics over n multiplexed sessions (topic i lands in

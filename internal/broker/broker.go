@@ -219,15 +219,15 @@ type Broker struct {
 	// snapshots above).
 	mu      sync.Mutex
 	clients map[*clientConn]struct{}
-	// topics is the per-topic subscription ledger: legacy per-connection
-	// subscribers plus per-session subscriber-ID bitsets (edge.go).
-	topics map[int32]*topicSubs
+	// topics is the per-topic subscription ledger: one subscriber-ID
+	// bitset per session (edge.go).
+	topics map[int32]topicSubs
 	// dirtySubs queues topics whose immutable ledger must be rebuilt into
 	// the next subsSnapshot (see flushSubsLocked).
 	dirtySubs map[int32]struct{}
 	closed    bool
 
-	// subsKick nudges the session-churn snapshot flusher (buffered 1).
+	// subsKick nudges the subscription snapshot flusher (buffered 1).
 	subsKick chan struct{}
 
 	done chan struct{}
@@ -249,8 +249,9 @@ type Broker struct {
 	redials    atomic.Uint64 // failed neighbor dial attempts
 	reconnects atomic.Uint64 // neighbor re-attaches after the first
 
-	// Edge-tier gauges: live mux sessions and logical subscriptions
-	// (legacy + session) — exported through Stats and wire.StatsReply.
+	// Edge-tier gauges: live sessions (subscribing Clients included) and
+	// logical (subscriber, topic) subscriptions — exported through Stats
+	// and wire.StatsReply.
 	sessionsGauge      atomic.Int64
 	subscriptionsGauge atomic.Int64
 
@@ -295,7 +296,7 @@ func New(cfg Config) (*Broker, error) {
 		cfg:       cfg,
 		neighbors: make(map[int]*neighborConn, len(cfg.Neighbors)),
 		clients:   make(map[*clientConn]struct{}),
-		topics:    make(map[int32]*topicSubs),
+		topics:    make(map[int32]topicSubs),
 		dirtySubs: make(map[int32]struct{}),
 		epoch:     time.Now(),
 		done:      make(chan struct{}),
@@ -345,7 +346,7 @@ func New(cfg Config) (*Broker, error) {
 			s.run()
 		})
 	}
-	// The session-churn snapshot flusher likewise starts with the broker:
+	// The subscription snapshot flusher likewise starts with the broker:
 	// SessionSub frames may arrive over pipe connections before a listener
 	// exists, and their deferred snapshot publishes need a running flusher.
 	b.goTracked(func() { b.subsFlusher() })
@@ -517,8 +518,8 @@ type Stats struct {
 	Redials    uint64 // failed neighbor dial attempts
 	Reconnects uint64 // neighbor links re-attached after their first attach
 	// Edge-tier gauges (not counters): current level, not cumulative.
-	Sessions      uint64 // live multiplexed client sessions
-	Subscriptions uint64 // live logical subscriptions (legacy + session)
+	Sessions      uint64 // live sessions, subscribing Clients included
+	Subscriptions uint64 // live (subscriber, topic) subscriptions
 	// Relay-aggregation counters.
 	AckBatches         uint64 // AckBatch frames sent to neighbors
 	AckFramesCoalesced uint64 // hop-by-hop ACKs those batches carried

@@ -94,11 +94,11 @@ func receiveOne(t *testing.T, c *Client, timeout time.Duration) Delivery {
 	select {
 	case d, ok := <-c.Receive():
 		if !ok {
-			t.Fatalf("client %q connection closed: %v", c.name, c.Err())
+			t.Fatalf("client %q connection closed: %v", c.ep.name, c.Err())
 		}
 		return d
 	case <-time.After(timeout):
-		t.Fatalf("client %q: no delivery within %v", c.name, timeout)
+		t.Fatalf("client %q: no delivery within %v", c.ep.name, timeout)
 	}
 	panic("unreachable")
 }

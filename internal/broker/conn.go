@@ -767,10 +767,6 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 			return
 		}
 		switch m := msg.(type) {
-		case *wire.Subscribe:
-			b.subscribeLocal(c, m)
-		case *wire.Unsubscribe:
-			b.unsubscribeLocal(c, m)
 		case *wire.SessionHello:
 			b.sessionHello(c, m)
 		case *wire.SessionSub:

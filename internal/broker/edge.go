@@ -9,37 +9,37 @@ import (
 	"repro/internal/wire"
 )
 
-// The massive-subscriber edge tier: many logical subscribers share one TCP
-// connection (a "session", opened by wire.SessionHello) and the broker's
-// subscription state is aggregated per topic instead of per subscriber.
+// The edge tier: every subscriber connection is a session. Many logical
+// subscribers may share one TCP connection (a session, opened by
+// wire.SessionHello or by its first wire.SessionSub); a Client is a
+// session with the one subscriber ID 0. The broker's subscription state is
+// aggregated per topic instead of per subscriber.
 //
-// Control plane (under b.mu): b.topics is the per-topic ledger — legacy
-// per-connection subscribers keyed by conn, plus per-session subscriber-ID
-// bitsets. Mutations mark their topic dirty; the data plane's immutable
-// subsSnapshot is rebuilt incrementally (only dirty topics re-materialize)
-// either synchronously (legacy subscribe, disconnects — rare, preserves the
-// historical immediate visibility) or by the coalescing flusher goroutine
-// (session churn — a registration burst of 100k SessionSubs publishes a
-// handful of snapshots, not 100k). Every published change kicks the
-// control loop, which floods the broker's new topic membership
-// (localSubs) to the overlay at once.
+// Control plane (under b.mu): b.topics is the per-topic ledger, one
+// subscriber-ID bitset per session. Mutations mark their topic dirty; the
+// data plane's immutable subsSnapshot is rebuilt incrementally (only dirty
+// topics re-materialize) by the coalescing flusher goroutine, so a
+// registration burst of 100k SessionSubs publishes a handful of snapshots,
+// not 100k. Disconnects flush synchronously, and so does every membership
+// flood (localSubs). Every published change kicks the control loop, which
+// floods the broker's new topic membership to the overlay at once.
 //
 // Data plane: shard delivery flush looks the packet's topic up in the
-// snapshot and encodes each payload once per legacy subscriber plus once
-// per (topic, session) — a MuxDeliver carrying the varint subscriber-ID
-// list — instead of once per logical subscriber. The payload []byte and the
-// snapshot's subscriber-ID slices are shared, never copied per delivery:
-// both are immutable once published (copy-on-write snapshot, stable payload
-// allocation), so every queued wire message may alias them.
+// snapshot and encodes each payload once per (topic, session) — a
+// MuxDeliver carrying the varint subscriber-ID list — instead of once per
+// logical subscriber. The payload []byte and the snapshot's subscriber-ID
+// slices are shared, never copied per delivery: both are immutable once
+// published (copy-on-write snapshot, stable payload allocation), so every
+// queued wire message may alias them.
 
 const (
 	// maxSessionSubID caps client-chosen subscriber IDs so a hostile
 	// session cannot force a multi-gigabyte bitset allocation; 2^20 IDs
 	// bounds one session's ledger at 128 KiB of bitset.
 	maxSessionSubID = 1 << 20
-	// subsFlushInterval is the session-churn coalescing window: dirty
+	// subsFlushInterval is the subscription coalescing window: dirty
 	// topics wait at most this long before the next snapshot publishes.
-	// Legacy subscribes and disconnects still flush synchronously.
+	// Disconnects and membership floods flush at once.
 	subsFlushInterval = 5 * time.Millisecond
 )
 
@@ -82,55 +82,38 @@ func (s bitset) appendIDs(dst []uint32) []uint32 {
 	return dst
 }
 
-// topicSubs is the mutable per-topic subscription ledger (under b.mu).
-type topicSubs struct {
-	// legacy[conn] = deadline: one logical subscriber per connection, the
-	// pre-session protocol.
-	legacy map[*clientConn]time.Duration
-	// sessions[conn] = that session's subscriber-ID bitset for this topic.
-	sessions map[*clientConn]*sessionTopicSubs
-}
+// topicSubs is the mutable per-topic subscription ledger (under b.mu):
+// each session's subscriber-ID bitset for the topic.
+type topicSubs map[*clientConn]*sessionTopicSubs
 
 // sessionTopicSubs is one session's membership in one topic.
 type sessionTopicSubs struct {
 	bits  bitset
 	count int
-	// deadline is the strictest ask is not needed — Algorithm 1 admits on
-	// the *loosest* requirement per topic (max), so only the max survives
-	// here; it is recomputed only when the session leaves the topic.
+	// deadline is the loosest ask among the session's subscribers:
+	// Algorithm 1 admits a destination on the loosest requirement per
+	// topic, so only the max survives here. It resets when the session
+	// leaves the topic.
 	deadline time.Duration
-}
-
-// occupied reports whether the topic still has any logical subscriber.
-func (ts *topicSubs) occupied() bool {
-	return ts != nil && (len(ts.legacy) > 0 || len(ts.sessions) > 0)
 }
 
 // maxDeadline is the loosest QoS requirement across the topic's
 // subscribers (Algorithm 1 pins the destination deadline to it).
-func (ts *topicSubs) maxDeadline() time.Duration {
+func (ts topicSubs) maxDeadline() time.Duration {
 	var d time.Duration
-	for _, v := range ts.legacy {
-		if v > d {
-			d = v
-		}
-	}
-	for _, st := range ts.sessions {
-		if st.deadline > d {
-			d = st.deadline
-		}
+	for _, st := range ts {
+		d = max(d, st.deadline)
 	}
 	return d
 }
 
 // topicLedger is the immutable per-topic delivery view inside a
-// subsSnapshot: the legacy connections plus one materialized, sorted
-// subscriber-ID slice per session. Nothing in it is mutated after publish,
-// so queued deliveries may alias the slices freely.
+// subsSnapshot: one materialized, sorted subscriber-ID slice per session.
+// Nothing in it is mutated after publish, so queued deliveries may alias
+// the slices freely.
 type topicLedger struct {
-	legacy   []*clientConn
 	sessions []sessionDelivery
-	// subs is the logical subscriber count (legacy conns + session IDs).
+	// subs is the logical subscriber count (session IDs summed).
 	subs int
 }
 
@@ -189,24 +172,14 @@ func (b *Broker) flushSubsLocked() bool {
 // nil when the topic has no subscribers. Caller holds b.mu.
 func (b *Broker) buildLedgerLocked(topic int32) *topicLedger {
 	ts := b.topics[topic]
-	if !ts.occupied() {
+	if len(ts) == 0 {
 		return nil
 	}
-	led := &topicLedger{}
-	if n := len(ts.legacy); n > 0 {
-		led.legacy = make([]*clientConn, 0, n)
-		for c := range ts.legacy {
-			led.legacy = append(led.legacy, c)
-		}
-		led.subs += n
-	}
-	if n := len(ts.sessions); n > 0 {
-		led.sessions = make([]sessionDelivery, 0, n)
-		for c, st := range ts.sessions {
-			ids := st.bits.appendIDs(make([]uint32, 0, st.count))
-			led.sessions = append(led.sessions, sessionDelivery{c: c, subIDs: ids})
-			led.subs += len(ids)
-		}
+	led := &topicLedger{sessions: make([]sessionDelivery, 0, len(ts))}
+	for c, st := range ts {
+		ids := st.bits.appendIDs(make([]uint32, 0, st.count))
+		led.sessions = append(led.sessions, sessionDelivery{c: c, subIDs: ids})
+		led.subs += len(ids)
 	}
 	return led
 }
@@ -219,7 +192,7 @@ func (b *Broker) kickSubsFlusher() {
 	}
 }
 
-// subsFlusher is the session-churn coalescer: each kick waits one
+// subsFlusher is the subscription-churn coalescer: each kick waits one
 // subsFlushInterval (letting a subscription burst accumulate), then
 // publishes the snapshot and kicks the control loop once for the whole
 // batch.
@@ -244,68 +217,20 @@ func (b *Broker) subsFlusher() {
 
 // localSubs renders this broker's subscription membership for its
 // link-state flood: one record per topic with local subscribers, carrying
-// the loosest deadline among them, sorted by topic.
+// the loosest deadline among them, sorted by topic. It first publishes any
+// pending ledger changes, so a topic is never advertised to the overlay
+// before the delivery snapshot covers it: a packet routed here on the
+// strength of the flood must find its subscribers.
 func (b *Broker) localSubs() []wire.SubRecord {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.flushSubsLocked()
 	subs := make([]wire.SubRecord, 0, len(b.topics))
 	for topic, ts := range b.topics {
-		if ts.occupied() {
-			subs = append(subs, wire.SubRecord{Topic: topic, Deadline: ts.maxDeadline()})
-		}
+		subs = append(subs, wire.SubRecord{Topic: topic, Deadline: ts.maxDeadline()})
 	}
 	slices.SortFunc(subs, func(a, b wire.SubRecord) int { return cmp.Compare(a.Topic, b.Topic) })
 	return subs
-}
-
-// subscribeLocal registers a legacy client subscription (one logical
-// subscriber per connection).
-func (b *Broker) subscribeLocal(c *clientConn, m *wire.Subscribe) {
-	deadline := m.Deadline
-	if deadline <= 0 {
-		deadline = b.cfg.DefaultDeadline
-	}
-	b.mu.Lock()
-	ts := b.topics[m.Topic]
-	if ts == nil {
-		ts = &topicSubs{}
-		b.topics[m.Topic] = ts
-	}
-	if ts.legacy == nil {
-		ts.legacy = make(map[*clientConn]time.Duration)
-	}
-	if _, ok := ts.legacy[c]; !ok {
-		b.subscriptionsGauge.Add(1)
-	}
-	ts.legacy[c] = deadline
-	b.markSubsDirtyLocked(m.Topic)
-	// Legacy subscribes flush synchronously: the historical contract is
-	// that the subscription is delivery-visible when Subscribe returns.
-	b.flushSubsLocked()
-	b.mu.Unlock()
-	b.logf("client %q subscribed to topic %d (deadline %v)", c.name, m.Topic, deadline)
-	b.ctrl.kickCtrl()
-}
-
-// unsubscribeLocal removes one legacy client's subscription; when it was
-// the topic's last local subscriber, the next flood withdraws the topic
-// from this broker's membership.
-func (b *Broker) unsubscribeLocal(c *clientConn, m *wire.Unsubscribe) {
-	b.mu.Lock()
-	if ts := b.topics[m.Topic]; ts != nil {
-		if _, ok := ts.legacy[c]; ok {
-			delete(ts.legacy, c)
-			b.subscriptionsGauge.Add(-1)
-			if !ts.occupied() {
-				delete(b.topics, m.Topic)
-			}
-			b.markSubsDirtyLocked(m.Topic)
-		}
-	}
-	b.flushSubsLocked()
-	b.mu.Unlock()
-	b.logf("client %q unsubscribed from topic %d", c.name, m.Topic)
-	b.ctrl.kickCtrl()
 }
 
 // sessionHello upgrades a client connection to a multiplexed session.
@@ -333,23 +258,20 @@ func (b *Broker) sessionSub(c *clientConn, m *wire.SessionSub) {
 	}
 	b.mu.Lock()
 	if !c.mux {
-		// A SessionSub on a connection that never sent SessionHello still
-		// promotes it: the frame itself is an unambiguous opt-in.
+		// A Client never sends SessionHello: its first SessionSub makes the
+		// connection a session.
 		c.mux = true
 		b.sessionsGauge.Add(1)
 	}
 	ts := b.topics[m.Topic]
 	if ts == nil {
-		ts = &topicSubs{}
+		ts = make(topicSubs)
 		b.topics[m.Topic] = ts
 	}
-	if ts.sessions == nil {
-		ts.sessions = make(map[*clientConn]*sessionTopicSubs)
-	}
-	st := ts.sessions[c]
+	st := ts[c]
 	if st == nil {
 		st = &sessionTopicSubs{}
-		ts.sessions[c] = st
+		ts[c] = st
 	}
 	if st.bits.set(m.SubID) {
 		st.count++
@@ -370,17 +292,13 @@ func (b *Broker) sessionUnsub(c *clientConn, m *wire.SessionUnsub) {
 	}
 	b.mu.Lock()
 	ts := b.topics[m.Topic]
-	var st *sessionTopicSubs
-	if ts != nil {
-		st = ts.sessions[c]
-	}
-	if st != nil && st.bits.clear(m.SubID) {
+	if st := ts[c]; st != nil && st.bits.clear(m.SubID) {
 		st.count--
 		b.subscriptionsGauge.Add(-1)
 		if st.count == 0 {
-			delete(ts.sessions, c)
+			delete(ts, c)
 		}
-		if !ts.occupied() {
+		if len(ts) == 0 {
 			delete(b.topics, m.Topic)
 		}
 		b.markSubsDirtyLocked(m.Topic)
@@ -390,22 +308,17 @@ func (b *Broker) sessionUnsub(c *clientConn, m *wire.SessionUnsub) {
 }
 
 // dropClientSubsLocked removes every subscription a departing connection
-// holds — legacy and session alike — marking the affected topics dirty and
-// maintaining the edge gauges. Caller holds b.mu and flushes afterwards.
+// holds, marking the affected topics dirty and maintaining the edge
+// gauges. Caller holds b.mu and flushes afterwards.
 func (b *Broker) dropClientSubsLocked(c *clientConn) {
 	for topic, ts := range b.topics {
-		if _, ok := ts.legacy[c]; ok {
-			delete(ts.legacy, c)
-			b.subscriptionsGauge.Add(-1)
-			b.markSubsDirtyLocked(topic)
-		}
-		if st, ok := ts.sessions[c]; ok {
-			delete(ts.sessions, c)
+		if st, ok := ts[c]; ok {
+			delete(ts, c)
 			b.subscriptionsGauge.Add(-int64(st.count))
 			b.markSubsDirtyLocked(topic)
-		}
-		if !ts.occupied() {
-			delete(b.topics, topic)
+			if len(ts) == 0 {
+				delete(b.topics, topic)
+			}
 		}
 	}
 	if c.mux {

@@ -14,8 +14,9 @@ import (
 // BenchmarkEdgeFanout measures what the edge tier exists to optimize: the
 // wire cost of fanning one published packet out to many local subscribers.
 //
-//   - persub: 100 legacy subscriber connections — the broker encodes one
-//     Deliver frame (payload included) per subscriber per packet.
+//   - persub: 100 subscriber connections of one subscriber each — the
+//     broker encodes one MuxDeliver frame (payload included) per subscriber
+//     per packet.
 //   - mux: the same 100 logical subscribers over 4 multiplexed sessions —
 //     one MuxDeliver per (topic, session) carrying the payload once plus
 //     the subscriber-ID varint list.
@@ -56,8 +57,8 @@ func benchEdgeFanout(b *testing.B, mode string) {
 	var got atomic.Uint64
 	switch mode {
 	case "persub":
-		// Raw legacy connections read with a pooled Reader directly off the
-		// socket — no inbox to overflow.
+		// Raw one-subscriber sessions read with a pooled Reader directly off
+		// the socket — no inbox to overflow.
 		for i := 0; i < subscribers; i++ {
 			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 			if err != nil {
@@ -67,7 +68,7 @@ func benchEdgeFanout(b *testing.B, mode string) {
 			if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: fmt.Sprintf("sub-%d", i)}); err != nil {
 				b.Fatal(err)
 			}
-			if err := wire.Write(conn, &wire.Subscribe{Topic: topic, Deadline: time.Second}); err != nil {
+			if err := wire.Write(conn, &wire.SessionSub{Topic: topic, Deadline: time.Second}); err != nil {
 				b.Fatal(err)
 			}
 			go func() {
@@ -77,8 +78,8 @@ func benchEdgeFanout(b *testing.B, mode string) {
 					if err != nil {
 						return
 					}
-					if _, ok := msg.(*wire.Deliver); ok {
-						got.Add(1)
+					if m, ok := msg.(*wire.MuxDeliver); ok {
+						got.Add(uint64(len(m.SubIDs)))
 					}
 				}
 			}()
@@ -138,7 +139,7 @@ func benchEdgeFanout(b *testing.B, mode string) {
 	doneBy := time.Now().Add(30 * time.Second)
 	for got.Load() < want {
 		if time.Now().After(doneBy) {
-			b.Fatalf("received %d/%d deliveries", got.Load(), want)
+			b.Fatalf("received %d/%d deliveries (%d queue drops)", got.Load(), want, bk.queueDrops.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

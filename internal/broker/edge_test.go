@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -90,8 +92,9 @@ func (r *muxRecorder) counts() map[muxKey]int {
 // TestSessionAggregatedDelivery pins the tentpole behavior: one session
 // with several logical subscribers on a topic receives ONE MuxDeliver per
 // packet, carrying the full sorted subscriber-ID list and the payload once,
-// while a legacy subscriber on the same topic still gets its per-subscriber
-// Deliver. The edge gauges must track both kinds.
+// while a subscribing Client on the same topic gets the packet as one
+// Delivery. The Client is a session of one subscriber, so the edge gauges
+// count two sessions.
 func TestSessionAggregatedDelivery(t *testing.T) {
 	b, addr := startEdgeBroker(t, 2)
 
@@ -110,22 +113,22 @@ func TestSessionAggregatedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, err := Dial(addr, "legacy")
+	client, err := Dial(addr, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if err := legacy.Subscribe(3, time.Second); err != nil {
+	defer client.Close()
+	if err := client.Subscribe(3, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	// Session registration flushes asynchronously (coalescing window).
+	// Registration flushes asynchronously (coalescing window).
 	waitFor(t, 5*time.Second, "ledger to cover 4 subscribers", func() bool {
 		return b.localLedger(3).subscribers() == 4
 	})
 	st := b.Stats()
-	if st.Sessions != 1 || st.Subscriptions != 4 {
-		t.Fatalf("gauges = %d sessions / %d subscriptions, want 1/4", st.Sessions, st.Subscriptions)
+	if st.Sessions != 2 || st.Subscriptions != 4 {
+		t.Fatalf("gauges = %d sessions / %d subscriptions, want 2/4", st.Sessions, st.Subscriptions)
 	}
 
 	pub, err := Dial(addr, "pub")
@@ -153,9 +156,9 @@ func TestSessionAggregatedDelivery(t *testing.T) {
 		t.Errorf("subIDs = %v, want %v (sorted ascending)", ev.subIDs, want)
 	}
 
-	d := <-legacy.Receive()
+	d := <-client.Receive()
 	if d.Topic != 3 || string(d.Payload) != "edge payload" {
-		t.Errorf("legacy delivery = topic %d payload %q", d.Topic, d.Payload)
+		t.Errorf("client delivery = topic %d payload %q", d.Topic, d.Payload)
 	}
 }
 
@@ -222,12 +225,28 @@ func TestSessionUnsubNarrowsDelivery(t *testing.T) {
 	})
 }
 
-// TestLegacySubscribeCompat speaks the pre-session protocol over a raw TCP
-// connection — Hello, Subscribe, then plain reads — and requires the broker
-// to answer with per-subscriber Deliver frames, never MuxDeliver. Old
-// clients must keep working against an edge-tier broker unchanged.
+// TestLegacySubscribeCompat pins the defined outcome for a client of the
+// retired per-connection protocol: Hello, then a frame with the retired
+// subscribe tag. The broker cannot decode the frame, so it closes the
+// connection, and the ledger and the edge gauges stay as they were.
 func TestLegacySubscribeCompat(t *testing.T) {
 	b, addr := startEdgeBroker(t, 2)
+
+	// One live subscriber on the topic, so "unchanged" is not just "empty".
+	s, err := DialSession(addr, "mux", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Subscribe(1, 2, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "session subscriber registered", func() bool {
+		return b.localLedger(2).subscribers() == 1
+	})
 
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -237,39 +256,33 @@ func TestLegacySubscribeCompat(t *testing.T) {
 	if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: "old-client"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Write(conn, &wire.Subscribe{Topic: 2, Deadline: time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "legacy subscription", func() bool {
-		return b.localLedger(2).subscribers() == 1
-	})
-
-	pub, err := Dial(addr, "pub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Publish(2, time.Second, []byte("compat")); err != nil {
+	// The retired Subscribe frame: tag 7, topic 2, deadline 1s.
+	frame := []byte{0, 0, 0, 13, 7, 0, 0, 0, 2}
+	frame = binary.BigEndian.AppendUint64(frame, uint64(time.Second))
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.Read(conn)
-	if err != nil {
-		t.Fatal(err)
+	if msg, err := wire.Read(conn); err != io.EOF {
+		t.Fatalf("read after retired subscribe = %v, %v; want the broker to close the connection (EOF)", msg, err)
 	}
-	d, ok := msg.(*wire.Deliver)
-	if !ok {
-		t.Fatalf("legacy subscriber received %v, want DELIVER", msg.Type())
+	waitFor(t, 5*time.Second, "connection deregistered", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.clients) == 1
+	})
+	if n := b.localLedger(2).subscribers(); n != 1 {
+		t.Errorf("ledger holds %d subscribers for topic 2, want 1", n)
 	}
-	if d.Topic != 2 || string(d.Payload) != "compat" {
-		t.Errorf("delivery = topic %d payload %q", d.Topic, d.Payload)
+	if st := b.Stats(); st.Sessions != 1 || st.Subscriptions != 1 {
+		t.Errorf("gauges = %d sessions / %d subscriptions, want 1/1", st.Sessions, st.Subscriptions)
 	}
 }
 
 // TestSessionChurnExactlyOnce is the snapshot-swap race test: while one
 // publisher streams packets, churner subscribers flip on and off the topic
-// (session and legacy alike, forcing continuous copy-on-write ledger
+// (Sessions and Clients alike, forcing continuous copy-on-write ledger
 // rebuilds) — and a set of stable logical subscribers must still see every
 // packet exactly once: no drop and no duplicate across snapshot swaps.
 // Run under -race this also exercises the flusher/data-plane handoff.
@@ -336,11 +349,12 @@ func TestSessionChurnExactlyOnce(t *testing.T) {
 				}
 			}
 		}()
-		// Legacy churner: synchronous snapshot flush on every flip.
+		// Client churner: every flip is on the wire when Subscribe or
+		// Unsubscribe returns.
 		churnWg.Add(1)
 		go func() {
 			defer churnWg.Done()
-			cl, err := Dial(addr, fmt.Sprintf("churn-legacy-%d", c))
+			cl, err := Dial(addr, fmt.Sprintf("churn-client-%d", c))
 			if err != nil {
 				churnErr <- err
 				return

@@ -15,10 +15,11 @@ import (
 
 // queuedDeliver is one local delivery the engine produced during a shard's
 // engine call; it is sent to the ledger's subscribers when the shard
-// flushes, after the engine returns. led is an immutable snapshot ledger.
+// flushes, after the engine returns. led is an immutable snapshot ledger;
+// the delivery is held by value, so queuing one allocates nothing.
 type queuedDeliver struct {
 	led *topicLedger
-	msg *wire.Deliver
+	msg wire.Deliver
 }
 
 // publishLocal accepts a publish from a connected client: deliver to local
@@ -77,7 +78,7 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	}
 	b.shardOf(pid).enqueue(it)
 
-	b.deliver(deliverTo, &wire.Deliver{
+	b.deliver(deliverTo, wire.Deliver{
 		Topic:       m.Topic,
 		PacketID:    pid,
 		Source:      int32(b.cfg.ID),
@@ -151,22 +152,14 @@ func (b *Broker) ackShard(frameID uint64) *shard {
 
 // deliver pushes a message to a topic ledger's local subscribers. Sends are
 // bounded enqueues into per-connection writer pipelines, safe from any
-// goroutine. Legacy subscribers each get their own Deliver frame; every
-// multiplexed session gets ONE MuxDeliver frame carrying its subscriber-ID
-// list — the payload []byte and the ledger's ID slices are shared with the
-// queued messages (both immutable, see edge.go), so the aggregation costs
-// one small message header per session, not one payload copy per
-// subscriber. The delivered counter counts logical deliveries either way.
-func (b *Broker) deliver(led *topicLedger, msg *wire.Deliver) {
+// goroutine. Every session gets ONE MuxDeliver frame carrying its
+// subscriber-ID list — the payload []byte and the ledger's ID slices are
+// shared with the queued messages (both immutable, see edge.go), so the
+// aggregation costs one small message header per session, not one payload
+// copy per subscriber. The delivered counter counts logical deliveries.
+func (b *Broker) deliver(led *topicLedger, msg wire.Deliver) {
 	if led == nil {
 		return
-	}
-	for _, c := range led.legacy {
-		if err := c.send(msg); err != nil {
-			b.logf("deliver to %q: %v", c.name, err)
-			continue
-		}
-		b.delivered.Add(1)
 	}
 	for i := range led.sessions {
 		sd := &led.sessions[i]

@@ -127,8 +127,7 @@ func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
 // pipelines: the producer takes a struct from the pool, the writer returns
 // it after encoding (releaseMsg), and a failed send returns it on the spot.
 // Each pooled message has exactly one owner at all times; messages shared
-// across writers (the per-topic legacy *wire.Deliver, link-state floods)
-// are never pooled.
+// across writers (link-state floods, stats replies) are never pooled.
 var (
 	muxDeliverPool = sync.Pool{New: func() any { return new(wire.MuxDeliver) }}
 	dataFramePool  = sync.Pool{New: func() any { return new(wire.Data) }}

@@ -84,7 +84,7 @@ func waitForRoute(tb testing.TB, b *Broker, topic int32, sub int32) {
 // hop-by-hop ACKs return as coalesced ACK_BATCH frames.
 //
 // frames/packet and bytes/packet are writer-path egress summed across all
-// three brokers, the subscriber-facing Deliver frames included.
+// three brokers, the subscriber-facing MuxDeliver frames included.
 func BenchmarkRelayChain(b *testing.B) {
 	b.Run("batch", benchRelayChain)
 }
@@ -94,8 +94,8 @@ func benchRelayChain(b *testing.B) {
 	brokers := newRelayChain(b, 3)
 	last := brokers[len(brokers)-1]
 
-	// Legacy subscriber on the far end, counting deliveries straight off the
-	// socket so the benchmark can wait for exact totals.
+	// One-subscriber session on the far end, counting deliveries straight
+	// off the socket so the benchmark can wait for exact totals.
 	var got atomic.Uint64
 	conn, err := net.DialTimeout("tcp", last.cfg.Listen, 2*time.Second)
 	if err != nil {
@@ -105,7 +105,7 @@ func benchRelayChain(b *testing.B) {
 	if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: "chain-sub"}); err != nil {
 		b.Fatal(err)
 	}
-	if err := wire.Write(conn, &wire.Subscribe{Topic: topic, Deadline: 5 * time.Second}); err != nil {
+	if err := wire.Write(conn, &wire.SessionSub{Topic: topic, Deadline: 5 * time.Second}); err != nil {
 		b.Fatal(err)
 	}
 	go func() {
@@ -115,8 +115,8 @@ func benchRelayChain(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if _, ok := msg.(*wire.Deliver); ok {
-				got.Add(1)
+			if m, ok := msg.(*wire.MuxDeliver); ok {
+				got.Add(uint64(len(m.SubIDs)))
 			}
 		}
 	}()
@@ -192,10 +192,10 @@ func TestRelayChainBatchGain(t *testing.T) {
 	}
 }
 
-// TestMuxDeliverPooledDeliveryAllocs pins the deliver() satellite: pushing
-// one packet to a multiplexed session allocates nothing in steady state —
-// the MuxDeliver comes from the writer-path pool and goes back after the
-// writer (drained by hand here, no goroutine) encodes it.
+// TestMuxDeliverPooledDeliveryAllocs pins the delivery hot path: pushing
+// one packet, carried by value, to a multiplexed session allocates nothing
+// in steady state — the MuxDeliver comes from the writer-path pool and goes
+// back after the writer (drained by hand here, no goroutine) encodes it.
 func TestMuxDeliverPooledDeliveryAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -215,7 +215,7 @@ func TestMuxDeliverPooledDeliveryAllocs(t *testing.T) {
 	defer server.Close()
 	c := &clientConn{name: "sess", conn: server, w: newConnWriter(server, 8, nil)}
 	led := &topicLedger{sessions: []sessionDelivery{{c: c, subIDs: []uint32{1, 2, 3}}}}
-	msg := &wire.Deliver{
+	msg := wire.Deliver{
 		Topic: 1, PacketID: 42, Source: 1,
 		PublishedAt: time.Unix(0, 123456789),
 		Payload:     []byte("pooled payload"),

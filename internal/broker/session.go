@@ -1,10 +1,6 @@
 package broker
 
 import (
-	"bufio"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -25,18 +21,7 @@ import (
 // 100k subscribers coalesces into large writes; call Flush after the last
 // one to put the tail on the wire.
 type Session struct {
-	name    string
-	conn    net.Conn
-	handler func(*wire.MuxDeliver)
-
-	writeMu sync.Mutex
-	bw      *bufio.Writer
-	scratch []byte
-
-	mu       sync.Mutex
-	closed   bool
-	readErr  error
-	readDone chan struct{}
+	ep *endpoint
 }
 
 // DialSession connects a named multiplexed session to a broker. expect is
@@ -44,115 +29,41 @@ type Session struct {
 // broker only logs it today); handler receives every aggregated delivery
 // (see the Session ownership rules). A nil handler discards deliveries.
 func DialSession(addr, name string, expect uint32, handler func(*wire.MuxDeliver)) (*Session, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	ep, err := dialEndpoint("session", addr, name, &wire.SessionHello{Subscribers: expect})
 	if err != nil {
-		return nil, fmt.Errorf("broker session: dial %s: %w", addr, err)
-	}
-	s := &Session{
-		name:     name,
-		conn:     conn,
-		handler:  handler,
-		bw:       bufio.NewWriterSize(conn, writerBufCap),
-		readDone: make(chan struct{}),
-	}
-	if err := s.write(&wire.Hello{BrokerID: -1, Name: name}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("broker session: handshake: %w", err)
-	}
-	if err := s.write(&wire.SessionHello{Subscribers: expect}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("broker session: handshake: %w", err)
-	}
-	if err := s.Flush(); err != nil {
-		_ = conn.Close()
 		return nil, err
 	}
-	go s.readLoop()
-	return s, nil
-}
-
-// readLoop pumps aggregated deliveries into the handler until the
-// connection drops. Messages are pooled-Reader-owned: valid only until the
-// next frame.
-func (s *Session) readLoop() {
-	defer close(s.readDone)
-	rd := wire.NewReader(bufio.NewReaderSize(s.conn, readBufSize))
-	for {
-		msg, err := rd.Next()
-		if err != nil {
-			s.mu.Lock()
-			if !s.closed {
-				s.readErr = err
-			}
-			s.mu.Unlock()
-			return
+	go ep.readLoop(func(msg wire.Message) {
+		if m, ok := msg.(*wire.MuxDeliver); ok && handler != nil {
+			handler(m)
 		}
-		if m, ok := msg.(*wire.MuxDeliver); ok && s.handler != nil {
-			s.handler(m)
-		}
-	}
+	}, func() {})
+	return &Session{ep: ep}, nil
 }
 
 // Subscribe registers one session-local logical subscriber (identified by
 // subID, unique within this session) on a topic with a QoS delay
 // requirement (0 uses the broker's default). Buffered; see Flush.
 func (s *Session) Subscribe(subID uint32, topic int32, deadline time.Duration) error {
-	return s.write(&wire.SessionSub{SubID: subID, Topic: topic, Deadline: deadline})
+	return s.ep.write(&wire.SessionSub{SubID: subID, Topic: topic, Deadline: deadline}, false)
 }
 
 // Unsubscribe removes one logical subscriber from a topic. Buffered; see
 // Flush.
 func (s *Session) Unsubscribe(subID uint32, topic int32) error {
-	return s.write(&wire.SessionUnsub{SubID: subID, Topic: topic})
+	return s.ep.write(&wire.SessionUnsub{SubID: subID, Topic: topic}, false)
 }
 
 // Flush puts any buffered Subscribe/Unsubscribe frames on the wire.
-func (s *Session) Flush() error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("broker session %q: %w", s.name, err)
-	}
-	return nil
-}
+func (s *Session) Flush() error { return s.ep.write(nil, true) }
 
 // Err reports the read-loop error after the session ends (nil on clean
 // Close).
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readErr
-}
+func (s *Session) Err() error { return s.ep.err() }
 
 // Done is closed when the read loop ends (connection closed or failed).
-func (s *Session) Done() <-chan struct{} { return s.readDone }
+func (s *Session) Done() <-chan struct{} { return s.ep.done }
 
 // Close disconnects the session; the broker drops all of its logical
 // subscribers.
-func (s *Session) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.conn.Close()
-	<-s.readDone
-	return err
-}
-
-// write encodes one frame into the buffered writer (bufio flushes full
-// buffers itself; Flush pushes the tail).
-func (s *Session) write(msg wire.Message) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.scratch = wire.AppendFrame(s.scratch[:0], msg)
-	if !wire.FrameFits(s.scratch, 0) {
-		return fmt.Errorf("broker session %q: oversized %v frame", s.name, msg.Type())
-	}
-	if _, err := s.bw.Write(s.scratch); err != nil {
-		return fmt.Errorf("broker session %q: %w", s.name, err)
-	}
-	return nil
-}
+func (s *Session) Close() error { return s.ep.close() }

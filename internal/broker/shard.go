@@ -434,7 +434,7 @@ func (sh shardShell) Deliver(pkt *algo2.Packet, _ int) {
 	}
 	s.pendingDeliver = append(s.pendingDeliver, queuedDeliver{
 		led: led,
-		msg: &wire.Deliver{
+		msg: wire.Deliver{
 			Topic:       pkt.Topic,
 			PacketID:    pkt.ID,
 			Source:      pkt.Source,

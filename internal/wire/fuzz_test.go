@@ -27,6 +27,11 @@ func FuzzWireRead(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}) // oversized
 	f.Add([]byte{0, 0, 0, 1, 200})           // unknown type
 	f.Add([]byte{0, 0, 0, 5, 1, 1, 2, 3})    // truncated body
+	// Retired tags with a body in their old shape: each must fail with
+	// ErrUnknownType (TestReadRejectsUnknownType pins the error).
+	for _, tag := range retiredTags {
+		f.Add(append([]byte{0, 0, 0, 13, byte(tag)}, make([]byte, 12)...))
+	}
 	// A Data frame claiming more destinations than the body holds.
 	f.Add([]byte{0, 0, 0, 8, 2, 0, 0, 0x7F, 0xFF, 0xFF, 0xFF, 0})
 	// Session-mux tier: a MuxDeliver truncated mid subscriber-ID list (the

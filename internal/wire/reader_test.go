@@ -24,8 +24,6 @@ func allTypesCorpus() []Message {
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
 		&Ping{Token: 555},
 		&Pong{Token: 556},
-		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
-		&Unsubscribe{Topic: 9},
 		&Publish{Topic: 4, Deadline: time.Second, Payload: []byte{0, 1, 2, 255}},
 		&Publish{},
 		&Deliver{Topic: 4, PacketID: 77, Source: 2, PublishedAt: at, Payload: []byte("x")},

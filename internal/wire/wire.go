@@ -52,13 +52,15 @@ const (
 	// TypePing and TypePong measure link round-trip times for alpha.
 	TypePing
 	TypePong
-	// TypeSubscribe registers a client's topic subscription at its broker.
-	TypeSubscribe
-	// TypeUnsubscribe removes a client's topic subscription.
-	TypeUnsubscribe
+	// Tags 7 and 8 belonged to the retired per-connection subscribe and
+	// unsubscribe (every subscription is a TypeSessionSub now); they stay
+	// reserved for the same reason.
+	_
+	_
 	// TypePublish submits a client's message to its broker.
 	TypePublish
-	// TypeDeliver hands a message to a subscribed client.
+	// TypeDeliver is a single-subscriber delivery. Brokers deliver with
+	// TypeMuxDeliver; this frame stays encodable for codec measurements.
 	TypeDeliver
 	// TypeStatsRequest asks a broker for its operational state.
 	TypeStatsRequest
@@ -118,8 +120,6 @@ var types = [...]struct {
 	TypeData:         {"DATA", func() Message { return new(Data) }},
 	TypePing:         {"PING", func() Message { return new(Ping) }},
 	TypePong:         {"PONG", func() Message { return new(Pong) }},
-	TypeSubscribe:    {"SUBSCRIBE", func() Message { return new(Subscribe) }},
-	TypeUnsubscribe:  {"UNSUBSCRIBE", func() Message { return new(Unsubscribe) }},
 	TypePublish:      {"PUBLISH", func() Message { return new(Publish) }},
 	TypeDeliver:      {"DELIVER", func() Message { return new(Deliver) }},
 	TypeStatsRequest: {"STATS_REQUEST", func() Message { return new(StatsRequest) }},
@@ -261,18 +261,6 @@ type Pong struct {
 	Token uint64
 }
 
-// Subscribe registers a client subscription.
-type Subscribe struct {
-	Topic int32
-	// Deadline is the client's QoS delay requirement for this topic.
-	Deadline time.Duration
-}
-
-// Unsubscribe removes a client's subscription to a topic.
-type Unsubscribe struct {
-	Topic int32
-}
-
 // Publish submits a message from a client.
 type Publish struct {
 	Topic    int32
@@ -280,7 +268,9 @@ type Publish struct {
 	Payload  []byte
 }
 
-// Deliver hands a routed message to a subscribed client.
+// Deliver is one routed message for local delivery. The broker carries it
+// by value to its delivery flush and puts it on the wire as one MuxDeliver
+// per session; as a frame of its own it serves codec measurements only.
 type Deliver struct {
 	Topic       int32
 	PacketID    uint64
@@ -457,9 +447,8 @@ type StatsReply struct {
 	QueueDrops uint64 // messages shed by full per-connection send queues
 	Redials    uint64 // failed outbound dial attempts
 	Reconnects uint64 // neighbor links re-established after a drop
-	// Edge gauges: live multiplexed sessions and total logical
-	// subscriptions (legacy connection-topic pairs plus session
-	// (subscriber, topic) pairs).
+	// Edge gauges: live sessions (subscribing clients included) and total
+	// logical subscriptions, one per (subscriber, topic) pair.
 	Sessions      uint64
 	Subscriptions uint64
 	// Relay-aggregation counters: AckBatch frames sent, the per-frame ACKs
@@ -485,8 +474,6 @@ func (*Hello) Type() Type        { return TypeHello }
 func (*Data) Type() Type         { return TypeData }
 func (*Ping) Type() Type         { return TypePing }
 func (*Pong) Type() Type         { return TypePong }
-func (*Subscribe) Type() Type    { return TypeSubscribe }
-func (*Unsubscribe) Type() Type  { return TypeUnsubscribe }
 func (*Publish) Type() Type      { return TypePublish }
 func (*Deliver) Type() Type      { return TypeDeliver }
 func (*StatsRequest) Type() Type { return TypeStatsRequest }
@@ -1011,30 +998,6 @@ func (m *Pong) appendBody(dst []byte) []byte { return appendU64(dst, m.Token) }
 
 func (m *Pong) decode(r *reader) (err error) {
 	m.Token, err = r.u64()
-	return err
-}
-
-func (m *Subscribe) appendBody(dst []byte) []byte {
-	dst = appendI32(dst, m.Topic)
-	return appendI64(dst, int64(m.Deadline))
-}
-
-func (m *Subscribe) decode(r *reader) (err error) {
-	if m.Topic, err = r.i32(); err != nil {
-		return err
-	}
-	d, err := r.i64()
-	if err != nil {
-		return err
-	}
-	m.Deadline = time.Duration(d)
-	return nil
-}
-
-func (m *Unsubscribe) appendBody(dst []byte) []byte { return appendI32(dst, m.Topic) }
-
-func (m *Unsubscribe) decode(r *reader) (err error) {
-	m.Topic, err = r.i32()
 	return err
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -43,11 +44,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
 		&Ping{Token: 555},
 		&Pong{Token: 555},
-		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
 		&Publish{Topic: 4, Deadline: time.Second, Payload: []byte{0, 1, 2, 255}},
 		&Publish{Topic: 0, Payload: nil},
 		&Deliver{Topic: 4, PacketID: 77, Source: 2, PublishedAt: at, Payload: []byte("x")},
-		&Unsubscribe{Topic: 9},
 		&StatsRequest{Token: 31337},
 		&StatsReply{
 			Token: 31337, BrokerID: 2,
@@ -176,11 +175,23 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 	}
 }
 
+// retiredTags are the tags of retired message types: the per-frame ACK (3),
+// the <d, r> advert (4) and the per-connection subscribe (7) and
+// unsubscribe (8).
+var retiredTags = []Type{3, 4, 7, 8}
+
 func TestReadRejectsUnknownType(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 1, 200}) // length 1, type 200
 	if _, err := Read(&buf); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("err = %v, want ErrUnknownType", err)
+	}
+	// A retired tag is unknown too, whatever its body.
+	for _, tag := range retiredTags {
+		raw := append([]byte{0, 0, 0, 13, byte(tag)}, make([]byte, 12)...)
+		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("retired tag %d: err = %v, want ErrUnknownType", tag, err)
+		}
 	}
 }
 
@@ -232,10 +243,12 @@ func TestReadRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestTypeStrings pins every tag's number and name: peers and on-disk WAL
+// segments carry the numbers, so retiring a type must not shift the rest.
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeHello: "HELLO", TypeData: "DATA", TypePing: "PING", TypePong: "PONG",
-		TypeSubscribe: "SUBSCRIBE", TypePublish: "PUBLISH", TypeDeliver: "DELIVER",
+		TypePublish: "PUBLISH", TypeDeliver: "DELIVER",
 		TypeSessionHello: "SESSION_HELLO", TypeSessionSub: "SESSION_SUB",
 		TypeSessionUnsub: "SESSION_UNSUB", TypeMuxDeliver: "MUX_DELIVER",
 		TypeAckBatch: "ACK_BATCH", TypeDataBatch: "DATA_BATCH",
@@ -247,6 +260,23 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if Type(99).String() != "Type(99)" {
 		t.Errorf("unknown type string = %q", Type(99).String())
+	}
+	for ty, want := range map[Type]uint8{
+		TypeHello: 1, TypeData: 2, TypePing: 5, TypePong: 6,
+		TypePublish: 9, TypeDeliver: 10, TypeStatsRequest: 11, TypeStatsReply: 12,
+		TypeSessionHello: 13, TypeSessionSub: 14, TypeSessionUnsub: 15,
+		TypeMuxDeliver: 16, TypeAckBatch: 17, TypeDataBatch: 18,
+		TypeLinkState: 19, TypeProbe: 20, TypeWalCustody: 21, TypeWalClear: 22,
+		TypeWalDeliver: 23, TypeWalMeta: 24,
+	} {
+		if uint8(ty) != want {
+			t.Errorf("%v = %d, want %d", ty, uint8(ty), want)
+		}
+	}
+	for _, ty := range retiredTags {
+		if got := ty.String(); got != fmt.Sprintf("Type(%d)", ty) {
+			t.Errorf("retired tag %d prints as %q", ty, got)
+		}
 	}
 }
 
